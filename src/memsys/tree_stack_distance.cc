@@ -1,8 +1,5 @@
 #include "memsys/tree_stack_distance.hh"
 
-#include <algorithm>
-#include <vector>
-
 namespace wsg::memsys
 {
 
@@ -39,26 +36,21 @@ void
 TreeStackDistanceProfiler::renumber()
 {
     // The live stamps are exactly the non-tombstone values of last_
-    // (one per live line). Sorting them gives the order-preserving
-    // renumbering old-stamp -> rank.
-    std::vector<std::uint64_t> stamps;
-    stamps.reserve(static_cast<std::size_t>(live_.size()));
-    for (const auto &entry : last_)
-        if (entry.second != kInvalidated)
-            stamps.push_back(static_cast<std::uint64_t>(entry.second));
-    std::sort(stamps.begin(), stamps.end());
-    live_.clear();
-    for (std::uint64_t i = 0; i < stamps.size(); ++i)
-        live_.insertMax(i + 1);
+    // (one per live line), so each one's rank among them — its
+    // order-preserving new value — is read off the old set before the
+    // set is rebuilt densely.
+    std::uint64_t n = live_.size();
     for (auto &entry : last_) {
         if (entry.second == kInvalidated)
             continue;
-        auto it = std::lower_bound(
-            stamps.begin(), stamps.end(),
-            static_cast<std::uint64_t>(entry.second));
-        entry.second = (it - stamps.begin()) + 1;
+        auto stamp = static_cast<std::uint64_t>(entry.second);
+        entry.second =
+            static_cast<std::int64_t>(n - live_.countGreater(stamp));
     }
-    now_ = stamps.size();
+    live_.clear();
+    for (std::uint64_t i = 0; i < n; ++i)
+        live_.insertMax(i + 1);
+    now_ = n;
 }
 
 DistanceSample

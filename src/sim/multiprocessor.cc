@@ -95,15 +95,22 @@ Multiprocessor::access(const MemRef &ref)
             "Multiprocessor::access: pid exceeds configured processor "
             "count");
     Addr ref_last = ref.addr + std::max(ref.bytes, 1u) - 1;
-    Addr first = memsys::lineAlign(ref.addr, config_.lineBytes);
-    Addr last = memsys::lineAlign(ref_last, config_.lineBytes);
+    if (ref_last < ref.addr)
+        throw std::out_of_range(
+            "Multiprocessor::access: reference wraps past the top of "
+            "the address space");
     // Caches and profilers operate on line *numbers* so set-indexed
     // organizations see dense indices regardless of the line size.
-    for (Addr line = first; line <= last; line += config_.lineBytes) {
+    // Iterating over line numbers (not byte addresses) keeps a
+    // reference to the topmost line from wrapping the loop to 0.
+    Addr first_line = ref.addr / config_.lineBytes;
+    Addr last_line = ref_last / config_.lineBytes;
+    for (Addr ln = first_line;; ++ln) {
         // Bitmap of the 8-byte words this access covers within the
         // line, for the true/false-sharing split. Lines of 8 bytes or
         // less are a single word; lines wider than 512 B clamp to
         // 64-word granularity.
+        Addr line = ln * config_.lineBytes;
         Addr lo = std::max(ref.addr, line);
         Addr hi = std::min(ref_last, line + config_.lineBytes - 1);
         std::uint64_t lo_w = std::min<std::uint64_t>((lo - line) / 8, 63);
@@ -112,8 +119,9 @@ Multiprocessor::access(const MemRef &ref)
             (hi_w - lo_w == 63)
                 ? ~std::uint64_t{0}
                 : ((std::uint64_t{1} << (hi_w - lo_w + 1)) - 1) << lo_w;
-        accessLine(ref.pid, line / config_.lineBytes, ref.isWrite(),
-                   words, lo);
+        accessLine(ref.pid, ln, ref.isWrite(), words, lo);
+        if (ln == last_line)
+            break;
     }
 }
 
@@ -142,7 +150,7 @@ Multiprocessor::accessLine(ProcId pid, Addr line, bool is_write,
     bool was_invalidated = (entry.pendingProcs & self) != 0;
     std::uint64_t invalidated_words = 0;
     if (was_invalidated) {
-        auto it = pendingWords_.find(line * 64 + pid);
+        auto it = pendingWords_.find(PendingKey{line, pid});
         invalidated_words = it->second;
         pendingWords_.erase(it);
         entry.pendingProcs &= ~self;
@@ -174,7 +182,7 @@ Multiprocessor::accessLine(ProcId pid, Addr line, bool is_write,
             unsigned p =
                 static_cast<unsigned>(std::countr_zero(it_mask));
             it_mask &= it_mask - 1;
-            pendingWords_[line * 64 + p] |= words;
+            pendingWords_[PendingKey{line, p}] |= words;
         }
         entry.pendingProcs = stale;
     } else if (actions.invalidateMask != 0) {
@@ -186,7 +194,7 @@ Multiprocessor::accessLine(ProcId pid, Addr line, bool is_write,
             unsigned p =
                 static_cast<unsigned>(std::countr_zero(it_mask));
             it_mask &= it_mask - 1;
-            pendingWords_.try_emplace(line * 64 + p, 0);
+            pendingWords_.try_emplace(PendingKey{line, p}, 0);
         }
         entry.pendingProcs |= actions.invalidateMask;
     }
@@ -300,6 +308,54 @@ Multiprocessor::accessLine(ProcId pid, Addr line, bool is_write,
         }
         if (concrete_miss)
             ++st.concreteReadMisses;
+    }
+}
+
+namespace
+{
+
+/** Home slot of @p page in a page map of @p mask + 1 slots. Fibonacci
+ *  hashing spreads runs of consecutive page numbers. */
+std::size_t
+pageSlot(Addr page, std::size_t mask)
+{
+    return static_cast<std::size_t>((page * 0x9E3779B97F4A7C15ull) >> 32) &
+           mask;
+}
+
+} // namespace
+
+void
+Multiprocessor::LineDirectory::findPage(Addr page)
+{
+    if (2 * (pageCount_ + 1) > slots_.size())
+        grow();
+    std::size_t mask = slots_.size() - 1;
+    std::size_t i = pageSlot(page, mask);
+    while (slots_[i].page && slots_[i].pageNumber != page)
+        i = (i + 1) & mask;
+    if (!slots_[i].page) {
+        slots_[i].pageNumber = page;
+        slots_[i].page = std::make_unique<Page>();
+        ++pageCount_;
+    }
+    lastPage_ = page;
+    lastEntries_ = slots_[i].page.get();
+}
+
+void
+Multiprocessor::LineDirectory::grow()
+{
+    std::vector<Slot> old = std::move(slots_);
+    slots_ = std::vector<Slot>(std::max<std::size_t>(16, 2 * old.size()));
+    std::size_t mask = slots_.size() - 1;
+    for (Slot &slot : old) {
+        if (!slot.page)
+            continue;
+        std::size_t i = pageSlot(slot.pageNumber, mask);
+        while (slots_[i].page)
+            i = (i + 1) & mask;
+        slots_[i] = std::move(slot);
     }
 }
 

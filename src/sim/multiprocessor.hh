@@ -21,6 +21,15 @@
  * Optionally a concrete cache (set-associative / direct-mapped) can be
  * attached per processor to study associativity effects (Section 6.4).
  *
+ * The directory is a two-level paged table keyed by line number: a
+ * page holds 64 consecutive lines' DirEntry records, zero-initialised
+ * (all-zero means "untouched"), allocated on the first touch of any of
+ * its lines and found through a flat open-addressing page map behind a
+ * last-page cache. Neighbouring lines therefore share host cache lines
+ * and a page costs one allocation instead of 64 hash nodes. The price
+ * is paid by sparse traces: a line with no touched neighbour in its
+ * page still holds a whole page, 64 x 40 B = 2.5 KB per isolated line.
+ *
  * Miss classification (Dubois-style): the directory tracks, per line, a
  * bitmap of the 8-byte *words* ever written plus, per invalidated
  * processor, the words written by others since its invalidation. A
@@ -51,12 +60,14 @@
 #ifndef WSG_SIM_MULTIPROCESSOR_HH
 #define WSG_SIM_MULTIPROCESSOR_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "approx/approx_curve.hh"
@@ -449,7 +460,7 @@ class Multiprocessor : public trace::MemorySink
      *  from config_.hierarchy, for hierarchyStats(). */
     std::vector<const memsys::TwoLevelCache *> nodeCaches_;
 
-    /** Directory entry per line. */
+    /** Directory entry per line; all-zero means never touched. */
     struct DirEntry
     {
         /** Protocol state (sharer mask + exclusive holder), owned by
@@ -465,10 +476,86 @@ class Multiprocessor : public trace::MemorySink
         /** Last writer + 1; 0 = never written through the simulator. */
         std::uint32_t writerPlusOne = 0;
     };
-    std::unordered_map<Addr, DirEntry> directory_;
+
+    /**
+     * The directory: DirEntry records in pages of kPageLines
+     * consecutive lines, allocated zero-initialised on first touch.
+     * Pages are found through an open-addressing map from page number
+     * to page, with the most recently used page cached in front of it.
+     */
+    class LineDirectory
+    {
+      public:
+        LineDirectory() = default;
+        /** Moves leave the source empty, not caching a page it no
+         *  longer owns. */
+        LineDirectory(LineDirectory &&other) noexcept
+        {
+            *this = std::move(other);
+        }
+        LineDirectory &
+        operator=(LineDirectory &&other) noexcept
+        {
+            slots_ = std::exchange(other.slots_, {});
+            pageCount_ = std::exchange(other.pageCount_, 0);
+            lastPage_ = std::exchange(other.lastPage_, ~Addr{0});
+            lastEntries_ = std::exchange(other.lastEntries_, nullptr);
+            return *this;
+        }
+
+        DirEntry &
+        operator[](Addr line)
+        {
+            Addr page = line >> kPageShift;
+            if (page != lastPage_)
+                findPage(page);
+            return (*lastEntries_)[line & (kPageLines - 1)];
+        }
+
+      private:
+        static constexpr unsigned kPageShift = 6;
+        static constexpr Addr kPageLines = Addr{1} << kPageShift;
+        using Page = std::array<DirEntry, kPageLines>;
+        /** One page-map slot; empty while page is null. */
+        struct Slot
+        {
+            Addr pageNumber = 0;
+            std::unique_ptr<Page> page;
+        };
+
+        /** Point the last-page cache at @p page, allocating it. */
+        void findPage(Addr page);
+        /** Double the slot table and move every page over. */
+        void grow();
+
+        /** Open-addressing (linear probing) page map that owns the
+         *  pages; a power of two in size and at most half full. */
+        std::vector<Slot> slots_;
+        std::size_t pageCount_ = 0;
+        /** Page numbers stay below 2^58, so this never matches one. */
+        Addr lastPage_ = ~Addr{0};
+        Page *lastEntries_ = nullptr;
+    };
+    LineDirectory directory_;
+
+    /** Key of a pendingWords_ entry: one (line, processor) pair. */
+    struct PendingKey
+    {
+        Addr line;
+        ProcId pid;
+        bool operator==(const PendingKey &) const = default;
+    };
+    struct PendingKeyHash
+    {
+        std::size_t
+        operator()(const PendingKey &k) const
+        {
+            return std::hash<Addr>{}(k.line * 64 + k.pid);
+        }
+    };
     /**
      * Words written (by anyone else) to a line since a given processor
-     * was invalidated off it, keyed by line * 64 + pid; created by the
+     * was invalidated off it, keyed by (line, pid); created by the
      * invalidation, accumulated by subsequent writes, and claimed —
      * erased — by that processor's next access, where a non-empty
      * intersection with the accessed words makes the coherence miss
@@ -476,7 +563,8 @@ class Multiprocessor : public trace::MemorySink
      * entries only exist for lines in the invalidated-but-not-yet-
      * reread state.
      */
-    std::unordered_map<std::uint64_t, std::uint64_t> pendingWords_;
+    std::unordered_map<PendingKey, std::uint64_t, PendingKeyHash>
+        pendingWords_;
 
     /** Attribution state (attachAddressSpace). */
     const trace::SharedAddressSpace *space_ = nullptr;

@@ -268,9 +268,25 @@ TEST(ProfilerDifferential, MixedStreamCrossesRenumbering)
     // 300k accesses over 900 lines: the tree profiler's stamp span
     // outgrows 4x the live count far past kMinRenumberSpan (64k), so
     // this stream crosses many renumbering points; distances must be
-    // unaffected.
-    expectTreeMatchesListOn(
-        makeStream(10, 300000, 900, false, 5, 5));
+    // unaffected. Nor may the tree profiler's modelled memory move:
+    // memoryBytes() is every report's profiler_bytes, so it is pinned
+    // every 25k operations (less sizeof, which is the standard
+    // library's, not the model's).
+    const std::uint64_t kModelBytes[] = {
+        46040, 51544, 61352, 61400, 61208, 62504,
+        62072, 61160, 61640, 61352, 61592, 61352,
+    };
+    constexpr std::size_t kChunk = 25000;
+    auto ops = makeStream(10, 12 * kChunk, 900, false, 5, 5);
+    memsys::StackDistanceProfiler list;
+    memsys::TreeStackDistanceProfiler tree;
+    for (std::size_t c = 0; c < 12; ++c) {
+        std::vector<Op> chunk(ops.begin() + c * kChunk,
+                              ops.begin() + (c + 1) * kChunk);
+        expectLockstepIdentical(chunk, list, tree);
+        EXPECT_EQ(tree.memoryBytes() - sizeof(tree), kModelBytes[c])
+            << "after " << (c + 1) * kChunk << " operations";
+    }
 }
 
 TEST(ProfilerDifferential, NaiveOracleAgreesWithBoth)

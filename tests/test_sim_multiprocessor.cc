@@ -2,11 +2,15 @@
  * @file
  * Unit and property tests for the multiprocessor simulator: line
  * splitting, coherence classification, warm-up handling, curve
- * construction, and cross-validation against concrete caches.
+ * construction, cross-validation against concrete caches, references at
+ * the top of the address space, and invariance of every result under
+ * where lines fall on the directory's pages.
  */
 
 #include <memory>
 #include <random>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -438,4 +442,208 @@ TEST(Multiprocessor, SymmetricWorkloadGivesSimilarPerProcCurves)
     ASSERT_EQ(c0.size(), c1.size());
     for (std::size_t i = 0; i < c0.size(); ++i)
         EXPECT_NEAR(c0[i].y, c1[i].y, 1e-12);
+}
+
+// ---- Address-space edges and the paged directory ----
+
+namespace
+{
+
+constexpr wsg::trace::Addr kTopAddr = ~wsg::trace::Addr{0};
+
+void
+expectSameHistogram(const wsg::stats::Histogram &a,
+                    const wsg::stats::Histogram &b)
+{
+    ASSERT_EQ(a.totalSamples(), b.totalSamples());
+    ASSERT_EQ(a.infiniteSamples(), b.infiniteSamples());
+    ASSERT_EQ(a.maxValue(), b.maxValue());
+    for (std::uint64_t v = 0; v <= a.maxValue(); ++v)
+        ASSERT_EQ(a.count(v), b.count(v)) << "bucket " << v;
+}
+
+void
+expectSameStats(const ProcStats &a, const ProcStats &b)
+{
+    EXPECT_EQ(a.reads, b.reads);
+    EXPECT_EQ(a.writes, b.writes);
+    EXPECT_EQ(a.sampledReads, b.sampledReads);
+    EXPECT_EQ(a.sampledWrites, b.sampledWrites);
+    EXPECT_EQ(a.readCold, b.readCold);
+    EXPECT_EQ(a.readCoherence, b.readCoherence);
+    EXPECT_EQ(a.writeCold, b.writeCold);
+    EXPECT_EQ(a.writeCoherence, b.writeCoherence);
+    EXPECT_EQ(a.readTrueSharing, b.readTrueSharing);
+    EXPECT_EQ(a.readFalseSharing, b.readFalseSharing);
+    EXPECT_EQ(a.writeTrueSharing, b.writeTrueSharing);
+    EXPECT_EQ(a.writeFalseSharing, b.writeFalseSharing);
+    EXPECT_EQ(a.updatesSent, b.updatesSent);
+    EXPECT_EQ(a.invalidationsSent, b.invalidationsSent);
+    EXPECT_EQ(a.upgradesSent, b.upgradesSent);
+    expectSameHistogram(a.readDistances, b.readDistances);
+    expectSameHistogram(a.writeDistances, b.writeDistances);
+}
+
+void
+expectSameSummaries(const std::vector<SharingSummary> &a,
+                    const std::vector<SharingSummary> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].name, b[i].name);
+        EXPECT_EQ(a[i].reads, b[i].reads) << a[i].name;
+        EXPECT_EQ(a[i].writes, b[i].writes) << a[i].name;
+        EXPECT_EQ(a[i].readCold, b[i].readCold) << a[i].name;
+        EXPECT_EQ(a[i].writeCold, b[i].writeCold) << a[i].name;
+        EXPECT_EQ(a[i].readTrueSharing, b[i].readTrueSharing) << a[i].name;
+        EXPECT_EQ(a[i].readFalseSharing, b[i].readFalseSharing)
+            << a[i].name;
+        EXPECT_EQ(a[i].writeTrueSharing, b[i].writeTrueSharing)
+            << a[i].name;
+        EXPECT_EQ(a[i].writeFalseSharing, b[i].writeFalseSharing)
+            << a[i].name;
+    }
+}
+
+} // namespace
+
+TEST(Multiprocessor, TopLineOfAddressSpaceTerminates)
+{
+    // The last line of the 64-bit space: stepping a byte address past
+    // it wraps to 0, which must not restart the line walk. (This test
+    // carries a ctest TIMEOUT because the failure mode is a hang.)
+    Multiprocessor mp({1, 8});
+    mp.read(0, kTopAddr - 7, 8);
+    mp.write(0, kTopAddr - 7, 8);
+    EXPECT_EQ(mp.procStats(0).reads, 1u);
+    EXPECT_EQ(mp.procStats(0).writes, 1u);
+    EXPECT_EQ(mp.procStats(0).readCold, 1u);
+    EXPECT_EQ(mp.procStats(0).writeDistances.count(0), 1u);
+
+    // The very last byte alone, and a reference spanning the last two
+    // lines.
+    mp.read(0, kTopAddr, 1);
+    EXPECT_EQ(mp.procStats(0).reads, 2u);
+    Multiprocessor wide({1, 64});
+    wide.read(0, kTopAddr - 127, 128);
+    EXPECT_EQ(wide.procStats(0).reads, 2u);
+}
+
+TEST(Multiprocessor, ReferenceWrappingPastTopThrows)
+{
+    // A reference whose last byte lies past 2^64 - 1 is malformed
+    // input; it must be rejected, not dropped uncounted.
+    Multiprocessor mp({1, 8});
+    EXPECT_THROW(mp.read(0, kTopAddr - 3, 8), std::out_of_range);
+    EXPECT_THROW(mp.write(0, kTopAddr, 2), std::out_of_range);
+    EXPECT_EQ(mp.procStats(0).reads, 0u);
+    EXPECT_EQ(mp.procStats(0).writes, 0u);
+}
+
+TEST(Multiprocessor, PendingWordsOfLinesFarApartStayApart)
+{
+    // Pending-word entries of lines 2^58 apart must stay distinct: a
+    // key of line * 64 + pid aliases them, and the second claim then
+    // finds no entry.
+    Multiprocessor mp({2, 8});
+    const wsg::trace::Addr lines[] = {5, 5 + (wsg::trace::Addr{1} << 58)};
+    for (wsg::trace::Addr line : lines)
+        mp.read(1, line * 8, 8);
+    for (wsg::trace::Addr line : lines)
+        mp.write(0, line * 8, 8);
+    for (wsg::trace::Addr line : lines)
+        mp.read(1, line * 8, 8);
+    const ProcStats &st = mp.procStats(1);
+    EXPECT_EQ(st.readCoherence, 2u);
+    EXPECT_EQ(st.readTrueSharing, 2u);
+    EXPECT_EQ(st.readFalseSharing, 0u);
+    EXPECT_EQ(mp.procStats(0).invalidationsSent, 2u);
+}
+
+TEST(Multiprocessor, DirectoryPagePlacementDoesNotChangeResults)
+{
+    // The directory pages its entries 64 lines at a time. Where a
+    // region of lines lands relative to those pages must not matter:
+    // run one seeded 4-processor stream twice, the second time with
+    // every 64-line region moved 2^32 bytes from its neighbours and
+    // shifted by 37 lines, so each region straddles two pages and
+    // multi-line references cross page boundaries.
+    constexpr std::uint32_t kLine = 16;
+    constexpr wsg::trace::Addr kRegion = 64 * kLine;
+    constexpr wsg::trace::Addr kStride = wsg::trace::Addr{1} << 32;
+    constexpr wsg::trace::Addr kShift = 37 * kLine;
+    const std::uint64_t kSegmentRegions[] = {4, 3, 5};
+
+    wsg::trace::SharedAddressSpace dense(kRegion);
+    wsg::trace::SharedAddressSpace scattered(kStride);
+    for (std::size_t k = 0; k < 3; ++k) {
+        std::string name = "array" + std::to_string(k);
+        dense.allocate(name, kSegmentRegions[k] * kRegion);
+        scattered.allocate(name, kSegmentRegions[k] * kStride);
+    }
+    const wsg::trace::Addr dense_base = dense.segments()[0].base;
+    const wsg::trace::Addr scattered_base = scattered.segments()[0].base;
+    auto scatter = [&](wsg::trace::Addr addr) {
+        wsg::trace::Addr off = addr - dense_base;
+        return scattered_base + (off / kRegion) * kStride + kShift +
+               off % kRegion;
+    };
+
+    Multiprocessor a({4, kLine});
+    Multiprocessor b({4, kLine});
+    a.attachAddressSpace(&dense);
+    b.attachAddressSpace(&scattered);
+    // 12 mapped regions plus 2 past the last segment (unmapped).
+    constexpr std::uint64_t kRegions = 14;
+    std::mt19937_64 rng(41);
+    for (int i = 0; i < 60000; ++i) {
+        if (i == 6000) {
+            a.setMeasuring(false);
+            b.setMeasuring(false);
+        } else if (i == 12000) {
+            a.setMeasuring(true);
+            b.setMeasuring(true);
+        }
+        auto pid = static_cast<wsg::trace::ProcId>(rng() % 4);
+        // Each processor favours its own quarter of the regions, with
+        // a quarter of its references going anywhere.
+        std::uint64_t region = rng() % 4 == 0
+                                   ? rng() % kRegions
+                                   : (pid * 4 + rng() % 4) % kRegions;
+        // 1..40 bytes at any byte offset that keeps the reference
+        // inside its region.
+        auto bytes = static_cast<std::uint32_t>(1 + rng() % 40);
+        wsg::trace::Addr off = rng() % (kRegion - bytes + 1);
+        wsg::trace::Addr addr = dense_base + region * kRegion + off;
+        if (rng() % 3 == 0) {
+            a.write(pid, addr, bytes);
+            b.write(pid, scatter(addr), bytes);
+        } else {
+            a.read(pid, addr, bytes);
+            b.read(pid, scatter(addr), bytes);
+        }
+    }
+
+    for (wsg::trace::ProcId p = 0; p < 4; ++p)
+        expectSameStats(a.procStats(p), b.procStats(p));
+    ASSERT_GT(a.aggregateStats().readFalseSharing, 0u);
+    ASSERT_GT(a.aggregateStats().writeTrueSharing, 0u);
+    expectSameSummaries(a.procSummaries(), b.procSummaries());
+    auto arrays = a.arraySummaries();
+    ASSERT_EQ(arrays.size(), 4u);
+    EXPECT_EQ(arrays.back().name, "(unmapped)");
+    expectSameSummaries(arrays, b.arraySummaries());
+    CurveSpec spec;
+    spec.cacheSizesBytes = sweepSizes(kLine, 64 * kRegion, 4, kLine);
+    MissClassCurves ca = a.readMissClassCurves(spec);
+    MissClassCurves cb = b.readMissClassCurves(spec);
+    ASSERT_EQ(ca.points.size(), cb.points.size());
+    for (std::size_t i = 0; i < ca.points.size(); ++i) {
+        EXPECT_EQ(ca.points[i].cold, cb.points[i].cold) << i;
+        EXPECT_EQ(ca.points[i].capacity, cb.points[i].capacity) << i;
+        EXPECT_EQ(ca.points[i].trueSharing, cb.points[i].trueSharing)
+            << i;
+        EXPECT_EQ(ca.points[i].falseSharing, cb.points[i].falseSharing)
+            << i;
+    }
 }

@@ -142,16 +142,21 @@ struct KneeCase
 {
     double factor;
     bool detected;
+    // gtest prints this struct's raw bytes into the test names, so the
+    // tail after `detected` is an explicit zeroed member, not padding
+    // whose bytes would differ from build to build.
+    char zero[7] = {};
 };
+static_assert(sizeof(KneeCase) == 16, "KneeCase must have no padding");
 
 class KneeFactor : public ::testing::TestWithParam<KneeCase>
 {};
 
 TEST_P(KneeFactor, DetectionThreshold)
 {
-    auto [factor, detected] = GetParam();
-    auto sets = detectWorkingSets(stepCurve(1.0, 1.0 / factor, 1024.0));
-    EXPECT_EQ(!sets.empty(), detected) << "factor " << factor;
+    const KneeCase &c = GetParam();
+    auto sets = detectWorkingSets(stepCurve(1.0, 1.0 / c.factor, 1024.0));
+    EXPECT_EQ(!sets.empty(), c.detected) << "factor " << c.factor;
 }
 
 INSTANTIATE_TEST_SUITE_P(

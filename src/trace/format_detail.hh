@@ -26,6 +26,7 @@
 
 #include "trace/address_space.hh"
 #include "trace/memref.hh"
+#include "trace/varint.hh"
 
 namespace wsg::trace::detail
 {
@@ -126,6 +127,11 @@ static_assert(sizeof(BlockFrame) == 12,
 /** Writer flushes a block once its payload reaches this size; the
  *  reader's peak memory is one block, so this bounds replay RSS. */
 constexpr std::size_t kStreamBlockTargetBytes = std::size_t{1} << 16;
+
+/** Longest encoded v3 record: a tag byte and at most three varints.
+ *  The writer's block buffer holds the flush target plus this much, so
+ *  the record that crosses the target always fits. */
+constexpr std::size_t kStreamMaxRecordBytes = 1 + 3 * kMaxVarintBytes;
 
 /** Hard upper bound a reader accepts for one block's payload. No
  *  well-formed writer comes near it (flush target + one record); a

@@ -1,10 +1,12 @@
 #include "trace/streaming_reader.hh"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "trace/crc32.hh"
 #include "trace/format_detail.hh"
+#include "trace/sinks.hh"
 #include "trace/varint.hh"
 
 namespace wsg::trace
@@ -136,8 +138,8 @@ StreamingTraceReader::loadNextBlock()
     return true;
 }
 
-bool
-StreamingTraceReader::nextRecord(TraceRecord &record)
+inline bool
+StreamingTraceReader::nextTag(std::uint8_t &tag)
 {
     while (blockRecordsLeft_ == 0) {
         if (cur_ != end_) {
@@ -147,63 +149,87 @@ StreamingTraceReader::nextRecord(TraceRecord &record)
         if (!loadNextBlock())
             return false;
     }
-    std::uint64_t block = blocksRead_ - 1;
     if (cur_ == end_) {
-        throwMalformedRecord(path_, block, recordsRead_,
+        throwMalformedRecord(path_, blocksRead_ - 1, recordsRead_,
                              "record count overruns the payload");
     }
-
-    std::uint8_t tag = *cur_++;
+    tag = *cur_++;
     if (tag >= detail::kRecTypeCount) {
         throw std::runtime_error(
             "TraceReader: unknown record type " + std::to_string(tag) +
             " at record " + std::to_string(recordsRead_) + " of " +
             path_);
     }
+    return true;
+}
 
-    if (tag == detail::kRecRead || tag == detail::kRecWrite) {
-        std::uint64_t delta = 0, bytes = 0, pid = 0;
-        if (!readVarint(cur_, end_, delta) ||
-            !readVarint(cur_, end_, bytes) ||
-            !readVarint(cur_, end_, pid)) {
-            throwMalformedRecord(path_, block, recordsRead_,
-                                 "varint runs past the block payload");
-        }
-        prevAddr_ += static_cast<std::uint64_t>(zigzagDecode(delta));
-        record.kind = TraceRecord::Kind::Data;
-        record.ref.addr = prevAddr_;
-        record.ref.bytes = static_cast<std::uint32_t>(bytes);
-        record.ref.pid = static_cast<std::uint32_t>(pid);
-        record.ref.type = static_cast<RefType>(tag);
-    } else {
-        std::uint64_t pid = 0, object = 0;
-        if (!readVarint(cur_, end_, pid) ||
-            !readVarint(cur_, end_, object)) {
-            throwMalformedRecord(path_, block, recordsRead_,
-                                 "varint runs past the block payload");
-        }
-        // Happens-before analysis indexes per-processor clocks with
-        // the id, so an out-of-range id is unambiguous corruption.
-        if (pid >= numProcs_) {
-            throw std::runtime_error(
-                "TraceReader: sync event with out-of-range processor "
-                "id " +
-                std::to_string(pid) + " (trace declares " +
-                std::to_string(numProcs_) + " processors) at record " +
-                std::to_string(recordsRead_) + " of " + path_);
-        }
-        record.kind = TraceRecord::Kind::Sync;
-        record.syncEvent.kind =
-            tag == detail::kRecBarrier
-                ? SyncKind::Barrier
-                : (tag == detail::kRecLockAcquire
-                       ? SyncKind::LockAcquire
-                       : SyncKind::LockRelease);
-        record.syncEvent.pid = static_cast<std::uint32_t>(pid);
-        record.syncEvent.object = object;
+inline void
+StreamingTraceReader::decodeData(std::uint8_t tag, MemRef &ref)
+{
+    std::uint64_t delta = 0, bytes = 0, pid = 0;
+    if (!readVarint(cur_, end_, delta) || !readVarint(cur_, end_, bytes) ||
+        !readVarint(cur_, end_, pid)) {
+        throwMalformedRecord(path_, blocksRead_ - 1, recordsRead_,
+                             "varint runs past the block payload or "
+                             "exceeds 64 bits");
     }
+    // MemRef carries 32-bit sizes and ids; a wider value is corruption,
+    // never something to truncate into a different reference.
+    if (bytes > UINT32_MAX || pid > UINT32_MAX) {
+        throwMalformedRecord(path_, blocksRead_ - 1, recordsRead_,
+                             "size or processor id exceeds 32 bits");
+    }
+    prevAddr_ += static_cast<std::uint64_t>(zigzagDecode(delta));
+    ref.addr = prevAddr_;
+    ref.bytes = static_cast<std::uint32_t>(bytes);
+    ref.pid = static_cast<std::uint32_t>(pid);
+    ref.type = static_cast<RefType>(tag);
     --blockRecordsLeft_;
     ++recordsRead_;
+}
+
+void
+StreamingTraceReader::decodeSync(std::uint8_t tag, SyncEvent &event)
+{
+    std::uint64_t pid = 0, object = 0;
+    if (!readVarint(cur_, end_, pid) || !readVarint(cur_, end_, object)) {
+        throwMalformedRecord(path_, blocksRead_ - 1, recordsRead_,
+                             "varint runs past the block payload or "
+                             "exceeds 64 bits");
+    }
+    // Happens-before analysis indexes per-processor clocks with the
+    // id, so an out-of-range id is unambiguous corruption.
+    if (pid >= numProcs_) {
+        throw std::runtime_error(
+            "TraceReader: sync event with out-of-range processor id " +
+            std::to_string(pid) + " (trace declares " +
+            std::to_string(numProcs_) + " processors) at record " +
+            std::to_string(recordsRead_) + " of " + path_);
+    }
+    event.kind = tag == detail::kRecBarrier
+                     ? SyncKind::Barrier
+                     : (tag == detail::kRecLockAcquire
+                            ? SyncKind::LockAcquire
+                            : SyncKind::LockRelease);
+    event.pid = static_cast<std::uint32_t>(pid);
+    event.object = object;
+    --blockRecordsLeft_;
+    ++recordsRead_;
+}
+
+bool
+StreamingTraceReader::nextRecord(TraceRecord &record)
+{
+    std::uint8_t tag = 0;
+    if (!nextTag(tag))
+        return false;
+    if (tag == detail::kRecRead || tag == detail::kRecWrite) {
+        record.kind = TraceRecord::Kind::Data;
+        decodeData(tag, record.ref);
+    } else {
+        record.kind = TraceRecord::Kind::Sync;
+        decodeSync(tag, record.syncEvent);
+    }
     return true;
 }
 
@@ -223,15 +249,45 @@ StreamingTraceReader::next(MemRef &ref)
 std::uint64_t
 StreamingTraceReader::replay(MemorySink &sink)
 {
+    constexpr std::size_t kRun = BatchingSink::kCapacity;
+    std::array<MemRef, kRun> run;
+    std::size_t n = 0;
+    // Zero the count before handing the run over, so a sink that
+    // throws never gets the same references twice from the handler.
+    auto deliver = [&] {
+        if (n == 0)
+            return;
+        std::size_t k = n;
+        n = 0;
+        sink.accessBatch(run.data(), k);
+    };
+
     std::uint64_t count = 0;
-    TraceRecord record;
-    while (nextRecord(record)) {
-        if (record.kind == TraceRecord::Kind::Data)
-            sink.access(record.ref);
-        else
-            sink.sync(record.syncEvent);
-        ++count;
+    try {
+        std::uint8_t tag = 0;
+        while (nextTag(tag)) {
+            if (tag == detail::kRecRead || tag == detail::kRecWrite) {
+                // Count the slot only once it decoded: a throw leaves
+                // the run at the records before this one.
+                decodeData(tag, run[n]);
+                ++n;
+                if (n == kRun)
+                    deliver();
+            } else {
+                SyncEvent event;
+                decodeSync(tag, event);
+                deliver();
+                sink.sync(event);
+            }
+            ++count;
+        }
+    } catch (...) {
+        // Everything before the bad record reaches the sink, exactly
+        // as it would have one record at a time.
+        deliver();
+        throw;
     }
+    deliver();
     return count;
 }
 

@@ -21,6 +21,16 @@
  * block: the CRC is verified when the block is loaded, and the
  * diagnostic names the block.
  *
+ * replay() is the hot path of every trace-driven study. It decodes
+ * data records in place into a run of BatchingSink::kCapacity
+ * references and hands each full run to MemorySink::accessBatch,
+ * flushing the partial run before every sync event; runs carry across
+ * block boundaries, so a BatchingSink downstream sees exactly the
+ * batches it would build from one access() per record. nextRecord()
+ * and replay() share one data-record decoder and every check. When a
+ * record is rejected, the references decoded before it are delivered
+ * before the exception propagates.
+ *
  * Most callers never touch this class directly: TraceReader detects
  * the version byte and delegates v3 traces here, so every existing
  * consumer (wsg-analyze, replay, the race detector) streams v3
@@ -86,21 +96,42 @@ class StreamingTraceReader
      * @return false at end of the last block.
      * @throws std::runtime_error on a CRC mismatch when a block is
      *         loaded, an unknown tag byte, a record that runs past its
-     *         block payload, or a sync event whose processor id is
-     *         outside the header's processor count.
+     *         block payload, a varint wider than 64 bits, a data
+     *         record whose size or processor id exceeds 32 bits, or a
+     *         sync event whose processor id is outside the header's
+     *         processor count.
      */
     bool nextRecord(TraceRecord &record);
 
     /** Next data record, skipping sync events (as TraceReader::next). */
     bool next(MemRef &ref);
 
-    /** Replay all remaining records into @p sink.
-     *  @return records delivered (data + sync). */
+    /**
+     * Replay all remaining records into @p sink: data records in runs
+     * of up to BatchingSink::kCapacity through accessBatch, sync
+     * events through sync() after the run before them.
+     * @return records delivered (data + sync).
+     * @throws std::runtime_error as nextRecord(), after delivering the
+     *         references that precede the rejected record.
+     */
     std::uint64_t replay(MemorySink &sink);
 
   private:
     /** Load and CRC-check the next block; false at body end. */
     bool loadNextBlock();
+
+    /** Step to the next record, loading blocks as needed, and consume
+     *  its tag byte; false at end of the last block. */
+    bool nextTag(std::uint8_t &tag);
+
+    /** Decode the fields of the data record whose @p tag nextTag()
+     *  consumed — the one data-record decoder, shared by nextRecord()
+     *  and replay(). */
+    void decodeData(std::uint8_t tag, MemRef &ref);
+
+    /** Decode the fields of the sync record whose @p tag nextTag()
+     *  consumed. */
+    void decodeSync(std::uint8_t tag, SyncEvent &event);
 
     std::ifstream in_;
     std::string path_;

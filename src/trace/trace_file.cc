@@ -11,24 +11,22 @@ namespace wsg::trace
 {
 
 TraceWriter::TraceWriter(const std::string &path,
-                         std::uint32_t num_procs, TraceFormat format)
-    : out_(path, std::ios::binary | std::ios::trunc), format_(format)
+                         std::uint32_t num_procs)
+    : out_(path, std::ios::binary | std::ios::trunc),
+      block_(detail::kStreamBlockTargetBytes +
+             detail::kStreamMaxRecordBytes)
 {
     if (!out_)
         throw std::runtime_error("TraceWriter: cannot open " + path);
     detail::HeaderV1 h{};
     std::memcpy(h.magic, kTraceMagic, sizeof(kTraceMagic));
-    h.version = format_ == TraceFormat::PackedV2
-                    ? kTraceVersionPacked
-                    : kTraceVersionStreaming;
+    h.version = kTraceVersionStreaming;
     h.numProcs = num_procs;
     out_.write(reinterpret_cast<const char *>(&h), sizeof(h));
     detail::HeaderV2Ext ext{};
     ext.recordCount = kTraceUnfinalizedCount;
     ext.segmentTableOffset = 0;
     out_.write(reinterpret_cast<const char *>(&ext), sizeof(ext));
-    if (format_ == TraceFormat::StreamingV3)
-        payload_.reserve(detail::kStreamBlockTargetBytes + 32);
 }
 
 TraceWriter::~TraceWriter()
@@ -39,51 +37,35 @@ TraceWriter::~TraceWriter()
 void
 TraceWriter::access(const MemRef &ref)
 {
-    if (format_ == TraceFormat::PackedV2) {
-        detail::PackedRecord r{};
-        r.addr = ref.addr;
-        r.bytes = ref.bytes;
-        r.pid = static_cast<std::uint16_t>(ref.pid);
-        r.type = static_cast<std::uint8_t>(ref.type);
-        out_.write(reinterpret_cast<const char *>(&r), sizeof(r));
-        ++records_;
-        return;
-    }
+    unsigned char *p = block_.data() + blockBytes_;
     // RefType 0/1 coincide with kRecRead/kRecWrite, so the tag byte is
     // the reference type itself.
-    payload_.push_back(static_cast<char>(ref.type));
-    appendVarint(payload_,
-                 zigzagEncode(static_cast<std::int64_t>(
+    *p++ = static_cast<unsigned char>(ref.type);
+    putVarint(p, zigzagEncode(static_cast<std::int64_t>(
                      ref.addr - prevAddr_)));
     prevAddr_ = ref.addr;
-    appendVarint(payload_, ref.bytes);
-    appendVarint(payload_, ref.pid);
-    ++blockRecords_;
-    ++records_;
-    if (payload_.size() >= detail::kStreamBlockTargetBytes)
-        flushBlock();
+    putVarint(p, ref.bytes);
+    putVarint(p, ref.pid);
+    endRecord(p);
 }
 
 void
 TraceWriter::sync(const SyncEvent &event)
 {
-    if (format_ == TraceFormat::PackedV2) {
-        detail::PackedRecord r{};
-        r.addr = event.object;
-        r.bytes = 0;
-        r.pid = static_cast<std::uint16_t>(event.pid);
-        r.type = detail::syncRecordType(event.kind);
-        out_.write(reinterpret_cast<const char *>(&r), sizeof(r));
-        ++records_;
-        return;
-    }
-    payload_.push_back(
-        static_cast<char>(detail::syncRecordType(event.kind)));
-    appendVarint(payload_, event.pid);
-    appendVarint(payload_, event.object);
+    unsigned char *p = block_.data() + blockBytes_;
+    *p++ = detail::syncRecordType(event.kind);
+    putVarint(p, event.pid);
+    putVarint(p, event.object);
+    endRecord(p);
+}
+
+void
+TraceWriter::endRecord(unsigned char *end)
+{
+    blockBytes_ = static_cast<std::size_t>(end - block_.data());
     ++blockRecords_;
     ++records_;
-    if (payload_.size() >= detail::kStreamBlockTargetBytes)
+    if (blockBytes_ >= detail::kStreamBlockTargetBytes)
         flushBlock();
 }
 
@@ -93,13 +75,13 @@ TraceWriter::flushBlock()
     if (blockRecords_ == 0)
         return;
     detail::BlockFrame frame{};
-    frame.payloadBytes = static_cast<std::uint32_t>(payload_.size());
+    frame.payloadBytes = static_cast<std::uint32_t>(blockBytes_);
     frame.recordCount = blockRecords_;
-    frame.crc = crc32(payload_.data(), payload_.size());
+    frame.crc = crc32(block_.data(), blockBytes_);
     out_.write(reinterpret_cast<const char *>(&frame), sizeof(frame));
-    out_.write(payload_.data(),
-               static_cast<std::streamsize>(payload_.size()));
-    payload_.clear();
+    out_.write(reinterpret_cast<const char *>(block_.data()),
+               static_cast<std::streamsize>(blockBytes_));
+    blockBytes_ = 0;
     blockRecords_ = 0;
     // The delta predictor resets per block so each block decodes
     // independently (the reader mirrors this in loadNextBlock).
@@ -111,8 +93,7 @@ TraceWriter::close()
 {
     if (!out_.is_open())
         return;
-    if (format_ == TraceFormat::StreamingV3)
-        flushBlock();
+    flushBlock();
     std::uint64_t table_offset = 0;
     if (space_ != nullptr && !space_->segments().empty()) {
         table_offset = static_cast<std::uint64_t>(out_.tellp());

@@ -20,17 +20,17 @@
  *
  * Bodies differ by version:
  *  - v1/v2 (packed): flat 16-byte records (addr, bytes, pid, type).
- *  - v3 (streaming, the default written format): CRC-framed blocks of
+ *  - v3 (streaming, the only written format): CRC-framed blocks of
  *    delta+varint compressed records — a fraction of the packed size
  *    for real reference streams, readable in O(block) memory, with
  *    corruption detected and reported per block. See
  *    trace/streaming_reader.hh for the block layout.
  *
- * TraceWriter picks the format at construction (TraceFormat, default
- * streaming v3; pass TraceFormat::PackedV2 for byte-compatibility with
- * older tooling). TraceReader reads the version field and handles all
- * three transparently — packed bodies inline, v3 by delegating to a
- * StreamingTraceReader — so consumers never branch on format.
+ * TraceWriter writes v3 only; v1 and v2 are read-only formats, kept so
+ * older traces stay replayable. TraceReader reads the version field and
+ * handles all three transparently — packed bodies inline, v3 by
+ * delegating to a StreamingTraceReader — so consumers never branch on
+ * format.
  *
  * When an address space is attached (TraceWriter::attachAddressSpace)
  * the writer appends the named-segment table after the last record on
@@ -48,12 +48,16 @@
  * replaying a short or torn trace. Per record, an unknown type byte
  * and a sync event naming a processor id outside the header's
  * processor count are rejected the same way (corrupted sync events
- * would otherwise silently poison a happens-before analysis).
+ * would otherwise silently poison a happens-before analysis), and so
+ * are a v3 varint wider than 64 bits and a v3 data record whose size
+ * or processor id does not fit 32 bits (truncating them would replay
+ * a different reference).
  */
 
 #ifndef WSG_TRACE_TRACE_FILE_HH
 #define WSG_TRACE_TRACE_FILE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <memory>
@@ -70,23 +74,14 @@ class StreamingTraceReader;
 
 /** Magic bytes identifying a wsg trace file. */
 constexpr char kTraceMagic[8] = {'W', 'S', 'G', 'T', 'R', 'A', 'C', 'E'};
-/** Version written for TraceFormat::PackedV2 (flat 16-byte records). */
+/** Version of the packed format (flat 16-byte records; read-only). */
 constexpr std::uint32_t kTraceVersionPacked = 2;
-/** Version written for TraceFormat::StreamingV3 (framed blocks). */
+/** Version of the streaming format (framed blocks). */
 constexpr std::uint32_t kTraceVersionStreaming = 3;
-/** Current default format version (v1/v2 files are still readable). */
+/** Version TraceWriter writes (v1/v2 files are still readable). */
 constexpr std::uint32_t kTraceVersion = kTraceVersionStreaming;
 /** Header record-count value of a writer that never finalized. */
 constexpr std::uint64_t kTraceUnfinalizedCount = ~std::uint64_t{0};
-
-/** On-disk body layout a TraceWriter emits. */
-enum class TraceFormat : std::uint8_t
-{
-    /** v2: flat packed 16-byte records. */
-    PackedV2,
-    /** v3: delta+varint compressed records in CRC-framed blocks. */
-    StreamingV3,
-};
 
 /** One decoded trace record: either a data reference or a sync event. */
 struct TraceRecord
@@ -103,8 +98,10 @@ struct TraceRecord
     SyncEvent syncEvent{};
 };
 
-/** MemorySink that appends every reference and sync event to a binary
- *  trace file. */
+/** MemorySink that appends every reference and sync event to a v3
+ *  trace file. Each record is encoded in place into a fixed block
+ *  buffer, which is CRC'd and written out once it reaches the flush
+ *  target. */
 class TraceWriter : public MemorySink
 {
   public:
@@ -114,12 +111,9 @@ class TraceWriter : public MemorySink
      *
      * @param path Output file path.
      * @param num_procs Processor count recorded in the header.
-     * @param format Body layout; default is the compressed streaming
-     *        format (v3).
      * @throws std::runtime_error when the file cannot be opened.
      */
-    TraceWriter(const std::string &path, std::uint32_t num_procs,
-                TraceFormat format = TraceFormat::StreamingV3);
+    TraceWriter(const std::string &path, std::uint32_t num_procs);
 
     ~TraceWriter() override;
 
@@ -138,7 +132,7 @@ class TraceWriter : public MemorySink
         space_ = space;
     }
 
-    /** Flush any open block (v3), append the segment table (when
+    /** Flush any open block, append the segment table (when
      *  attached), patch the header's record count, flush, and close;
      *  further access() calls are invalid. */
     void close();
@@ -146,20 +140,21 @@ class TraceWriter : public MemorySink
     /** Records written so far, data and sync alike. */
     std::uint64_t recordsWritten() const { return records_; }
 
-    /** Body layout this writer emits. */
-    TraceFormat format() const { return format_; }
-
   private:
-    /** Append the current block's frame + payload (v3; no-op when the
+    /** Append the current block's frame + payload (no-op when the
      *  block is empty) and reset the block state. */
     void flushBlock();
+
+    /** Count the record just encoded; flush at the target size. */
+    void endRecord(unsigned char *end);
 
     std::ofstream out_;
     std::uint64_t records_ = 0;
     const SharedAddressSpace *space_ = nullptr;
-    TraceFormat format_;
-    /** v3 state: the open block's compressed payload and geometry. */
-    std::string payload_;
+    /** The open block: flush target plus one maximal record of room,
+     *  of which the first blockBytes_ hold the encoded payload. */
+    std::vector<unsigned char> block_;
+    std::size_t blockBytes_ = 0;
     std::uint32_t blockRecords_ = 0;
     std::uint64_t prevAddr_ = 0;
 };

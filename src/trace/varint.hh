@@ -15,21 +15,40 @@
 #ifndef WSG_TRACE_VARINT_HH
 #define WSG_TRACE_VARINT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 namespace wsg::trace
 {
 
+/** Longest LEB128 encoding of a 64-bit value. */
+constexpr std::size_t kMaxVarintBytes = 10;
+
+/**
+ * Encode @p v as an LEB128 varint (1–10 bytes) at @p p, advancing it
+ * past the encoding. The caller guarantees kMaxVarintBytes of room;
+ * the trace writer encodes straight into its block buffer this way.
+ */
+inline void
+putVarint(unsigned char *&p, std::uint64_t v)
+{
+    while (v >= 0x80) {
+        *p++ = static_cast<unsigned char>((v & 0x7F) | 0x80);
+        v >>= 7;
+    }
+    *p++ = static_cast<unsigned char>(v);
+}
+
 /** Append @p v to @p out as an LEB128 varint (1–10 bytes). */
 inline void
 appendVarint(std::string &out, std::uint64_t v)
 {
-    while (v >= 0x80) {
-        out.push_back(static_cast<char>((v & 0x7F) | 0x80));
-        v >>= 7;
-    }
-    out.push_back(static_cast<char>(v));
+    unsigned char buf[kMaxVarintBytes];
+    unsigned char *end = buf;
+    putVarint(end, v);
+    out.append(reinterpret_cast<const char *>(buf),
+               static_cast<std::size_t>(end - buf));
 }
 
 /** Map a signed delta to an unsigned value with small magnitudes
@@ -51,17 +70,20 @@ zigzagDecode(std::uint64_t v)
 
 /**
  * Decode one varint from [@p p, @p end), advancing @p p past it.
- * @return false when the buffer ends inside the varint or the encoding
- *         exceeds 64 bits (both are block corruption; @p p is then
- *         unspecified and the caller must stop reading the block).
+ * @return false when the buffer ends inside the varint or the value
+ *         does not fit 64 bits (a tenth byte above 0x01). Both are
+ *         block corruption; @p p is then unspecified and the caller
+ *         must stop reading the block.
  */
 inline bool
 readVarint(const unsigned char *&p, const unsigned char *end,
            std::uint64_t &out)
 {
     std::uint64_t v = 0;
-    for (unsigned shift = 0; p < end && shift < 64; shift += 7) {
+    for (unsigned shift = 0; p < end; shift += 7) {
         unsigned char byte = *p++;
+        if (shift == 63 && byte > 0x01)
+            return false;
         v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
         if ((byte & 0x80) == 0) {
             out = v;

@@ -1,21 +1,16 @@
 /**
  * @file
  * Profiler bake-off: ingestion throughput and resident memory of every
- * miss-rate-curve construction (list-Mattson, tree-Mattson, AET), in
- * both single-reference and batched mode, over real application traces.
+ * miss-rate-curve construction (tree-Mattson, AET), in both
+ * single-reference and batched mode, over real application traces.
  *
  * Each application runs once against a RecordingSink; its reference
  * stream is mapped to cache-line numbers (8 B lines, the SimConfig
  * default) and replayed into a fresh profiler per construction x mode.
  * Reported per row: references ingested, refs/sec, resident bytes per
- * reference, and the speedup over the list-Mattson baseline on the
- * same trace. The two exact constructions must produce identical
+ * reference, and the speedup over single-reference tree-Mattson on the
+ * same trace. Single and batched tree-Mattson must produce identical
  * distance checksums on every trace — the bench fails hard if not.
- *
- * The FFT logN=16 trace is the headline row: it is the configuration
- * on which the order-statistic-tree profiler must beat the legacy
- * Fenwick-with-compaction profiler for tree-mattson to stay the
- * default construction.
  *
  * Flags: --smoke shrinks every trace for CI smoke runs.
  */
@@ -234,32 +229,26 @@ main(int argc, char **argv)
         std::string mode;
         std::uint64_t refs;
         PassResult res;
-        double speedupVsList;
+        double speedupVsTree;
     };
-    const ProfilerKind kKinds[] = {ProfilerKind::ListMattson,
-                                   ProfilerKind::TreeMattson,
+    const ProfilerKind kKinds[] = {ProfilerKind::TreeMattson,
                                    ProfilerKind::Aet};
 
     std::vector<Row> rows;
     bool checksums_ok = true;
-    double fft16_list = 0.0;
-    double fft16_tree = 0.0;
     for (const auto &t : traces) {
-        double list_single = 0.0;
-        std::uint64_t exact_sum = 0;
-        bool have_exact_sum = false;
+        double tree_single = 0.0;
+        std::uint64_t tree_sum = 0;
         for (ProfilerKind kind : kKinds) {
             for (bool batched : {false, true}) {
                 PassResult res = runPass(kind, t.lines, batched);
-                if (kind == ProfilerKind::ListMattson && !batched)
-                    list_single = res.refsPerSec;
-                if (kind != ProfilerKind::Aet) {
-                    if (!have_exact_sum) {
-                        exact_sum = res.checksum;
-                        have_exact_sum = true;
-                    } else if (res.checksum != exact_sum) {
-                        std::cerr << "FAIL: exact-construction checksum "
-                                     "mismatch on "
+                if (kind == ProfilerKind::TreeMattson) {
+                    if (!batched) {
+                        tree_single = res.refsPerSec;
+                        tree_sum = res.checksum;
+                    } else if (res.checksum != tree_sum) {
+                        std::cerr << "FAIL: tree-mattson single vs "
+                                     "batched checksum mismatch on "
                                   << t.name << "\n";
                         checksums_ok = false;
                     }
@@ -267,17 +256,7 @@ main(int argc, char **argv)
                 rows.push_back({t.name, profilerKindName(kind),
                                 batched ? "batched" : "single",
                                 t.lines.size(), res,
-                                res.refsPerSec / list_single});
-            }
-        }
-        if (t.name == "fft-logN16") {
-            for (const auto &r : rows) {
-                if (r.trace != t.name || r.mode != "single")
-                    continue;
-                if (r.construction == "list-mattson")
-                    fft16_list = r.res.refsPerSec;
-                if (r.construction == "tree-mattson")
-                    fft16_tree = r.res.refsPerSec;
+                                res.refsPerSec / tree_single});
             }
         }
         std::cout << "captured " << t.name << ": " << t.lines.size()
@@ -289,7 +268,7 @@ main(int argc, char **argv)
               << "construction" << std::setw(9) << "mode" << std::right
               << std::setw(10) << "refs" << std::setw(14) << "refs/sec"
               << std::setw(12) << "bytes/ref" << std::setw(10)
-              << "vs list" << "\n"
+              << "vs tree" << "\n"
               << std::string(83, '-') << "\n";
     for (const auto &r : rows) {
         std::cout << std::left << std::setw(14) << r.trace
@@ -298,21 +277,15 @@ main(int argc, char **argv)
                   << std::setw(14) << fmtRate(r.res.refsPerSec)
                   << std::setw(12) << std::fixed << std::setprecision(2)
                   << r.res.bytesPerRef << std::setw(9)
-                  << std::setprecision(2) << r.speedupVsList << "x\n";
+                  << std::setprecision(2) << r.speedupVsTree << "x\n";
     }
 
-    if (fft16_list > 0.0) {
-        std::cout << "\n";
-        bench::compare("tree vs list on fft-logN16 (single)",
-                       "tree strictly faster",
-                       fmtRate(fft16_tree) + " vs " + fmtRate(fft16_list) +
-                           (fft16_tree > fft16_list ? " (faster)"
-                                                    : " (SLOWER)"));
-    }
     if (!checksums_ok) {
-        std::cerr << "\nexact constructions disagree; see above\n";
+        std::cerr << "\nsingle and batched tree-mattson disagree; see "
+                     "above\n";
         return 1;
     }
-    std::cout << "\nexact-construction checksums agree on every trace\n";
+    std::cout << "\nsingle and batched tree-mattson checksums agree on "
+                 "every trace\n";
     return 0;
 }

@@ -13,7 +13,7 @@
 
 #include "memsys/fully_assoc_lru.hh"
 #include "memsys/set_assoc.hh"
-#include "memsys/stack_distance.hh"
+#include "memsys/tree_stack_distance.hh"
 #include "sim/multiprocessor.hh"
 
 using namespace wsg;
@@ -37,7 +37,7 @@ BM_StackDistanceRandom(benchmark::State &state)
 {
     auto trace = randomTrace(1 << 16, static_cast<trace::Addr>(
         state.range(0)), 1);
-    memsys::StackDistanceProfiler prof;
+    memsys::TreeStackDistanceProfiler prof;
     std::size_t i = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(prof.access(trace[i]));
@@ -51,7 +51,7 @@ BENCHMARK(BM_StackDistanceRandom)->Arg(1 << 10)->Arg(1 << 16)
 void
 BM_StackDistanceSequential(benchmark::State &state)
 {
-    memsys::StackDistanceProfiler prof;
+    memsys::TreeStackDistanceProfiler prof;
     trace::Addr a = 0;
     const trace::Addr span = static_cast<trace::Addr>(state.range(0));
     for (auto _ : state) {

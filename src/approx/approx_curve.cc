@@ -52,51 +52,9 @@ levelCrossing(const stats::Curve &curve, double level,
 
 } // namespace
 
-std::uint64_t
-ApproxCurve::sampledMisses(const SampledCounts &counts,
-                           std::uint64_t capacity_lines,
-                           bool include_cold)
-{
-    std::uint64_t misses =
-        counts.distances
-            ? counts.distances->countAtLeast(capacity_lines)
-            : 0;
-    misses += counts.coherence;
-    if (include_cold)
-        misses += counts.cold;
-    return misses;
-}
-
 double
 ApproxCurve::missRate(const SampledCounts &counts,
-                      std::uint64_t capacity_lines,
-                      bool include_cold) const
-{
-    if (counts.expectedSampledRefs <= 0.0)
-        return 0.0;
-    double misses = static_cast<double>(
-        sampledMisses(counts, capacity_lines, include_cold));
-    return misses / counts.expectedSampledRefs;
-}
-
-double
-ApproxCurve::missCount(const SampledCounts &counts,
-                       std::uint64_t capacity_lines,
-                       bool include_cold) const
-{
-    // Exact mode: return the exact count without touching the rate
-    // arithmetic, so existing golden curves stay bit-identical.
-    if (!sampled()) {
-        return static_cast<double>(
-            sampledMisses(counts, capacity_lines, include_cold));
-    }
-    return missRate(counts, capacity_lines, include_cold) *
-           static_cast<double>(counts.totalRefs);
-}
-
-double
-ApproxCurve::missRateFromMisses(const SampledCounts &counts,
-                                std::uint64_t sampled_misses) const
+                      std::uint64_t sampled_misses) const
 {
     if (counts.expectedSampledRefs <= 0.0)
         return 0.0;
@@ -105,12 +63,14 @@ ApproxCurve::missRateFromMisses(const SampledCounts &counts,
 }
 
 double
-ApproxCurve::missCountFromMisses(const SampledCounts &counts,
-                                 std::uint64_t sampled_misses) const
+ApproxCurve::missCount(const SampledCounts &counts,
+                       std::uint64_t sampled_misses) const
 {
+    // Exact mode: return the exact count without touching the rate
+    // arithmetic, so the golden curves stay bit-identical.
     if (!sampled())
         return static_cast<double>(sampled_misses);
-    return missRateFromMisses(counts, sampled_misses) *
+    return missRate(counts, sampled_misses) *
            static_cast<double>(counts.totalRefs);
 }
 

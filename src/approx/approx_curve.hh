@@ -16,6 +16,11 @@
  * references admitted at higher-than-final rates would otherwise
  * inflate the denominator).
  *
+ * ApproxCurve only scales. sampled_misses(C) is computed once, for
+ * every profiler construction, by the simulator (sim::Multiprocessor):
+ * each processor's histogram counted at that processor's
+ * capacityToThreshold(C), summed, plus the cold/coherence floor.
+ *
  * In SamplingMode::None every formula degenerates to the exact
  * arithmetic — the same expressions, bit for bit — so the simulator can
  * route both modes through one code path without perturbing the golden
@@ -30,7 +35,6 @@
 
 #include "approx/sampling.hh"
 #include "stats/curve.hh"
-#include "stats/histogram.hh"
 #include "stats/knee.hh"
 
 namespace wsg::approx
@@ -42,8 +46,6 @@ namespace wsg::approx
  */
 struct SampledCounts
 {
-    /** Scaled-distance histogram of admitted Finite references. */
-    const stats::Histogram *distances = nullptr;
     /** Admitted cold / coherence classifications. */
     std::uint64_t cold = 0;
     std::uint64_t coherence = 0;
@@ -77,41 +79,21 @@ class ApproxCurve
     const SamplingDiagnostics &diagnostics() const { return diagnostics_; }
     bool sampled() const { return diagnostics_.config.enabled(); }
 
-    /** Sampled misses at @p capacity_lines (raw, sampled units). */
-    static std::uint64_t sampledMisses(const SampledCounts &counts,
-                                       std::uint64_t capacity_lines,
-                                       bool include_cold);
-
     /**
-     * Estimated full-trace miss rate at @p capacity_lines: sampled
-     * misses over expected sampled references. Exact mode divides the
-     * exact counts — identical arithmetic to the unsampled path.
+     * Estimated full-trace miss rate from @p sampled_misses, the raw
+     * (sampled-unit) miss count at one capacity: sampled misses over
+     * expected sampled references. Exact mode divides the exact counts.
+     * The simulator reads the count off its per-processor histograms
+     * (sim::Multiprocessor) for every construction alike.
      * @return 0 when the run produced no (sampled) references.
      */
     double missRate(const SampledCounts &counts,
-                    std::uint64_t capacity_lines,
-                    bool include_cold) const;
+                    std::uint64_t sampled_misses) const;
 
     /** Estimated full-trace miss *count*: missRate * totalRefs. Exact
-     *  mode returns the exact count. */
+     *  mode returns @p sampled_misses unchanged. */
     double missCount(const SampledCounts &counts,
-                     std::uint64_t capacity_lines,
-                     bool include_cold) const;
-
-    /**
-     * missRate with a caller-computed sampled-miss numerator. The AET
-     * construction maps capacity to a *per-processor* histogram
-     * threshold (each processor's reuse-time model is its own), so its
-     * miss counts cannot be read off a merged histogram the way the
-     * Mattson kinds' can; the simulator sums per-processor counts and
-     * feeds the total through here to share the denominator arithmetic.
-     */
-    double missRateFromMisses(const SampledCounts &counts,
-                              std::uint64_t sampled_misses) const;
-
-    /** missCount for a caller-computed sampled-miss numerator. */
-    double missCountFromMisses(const SampledCounts &counts,
-                               std::uint64_t sampled_misses) const;
+                     std::uint64_t sampled_misses) const;
 
     /**
      * Scale an arbitrary admitted-reference counter @p raw to a

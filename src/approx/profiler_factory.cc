@@ -1,7 +1,6 @@
 #include "approx/profiler_factory.hh"
 
 #include "approx/aet.hh"
-#include "memsys/stack_distance.hh"
 #include "memsys/tree_stack_distance.hh"
 
 namespace wsg::approx
@@ -11,8 +10,6 @@ std::unique_ptr<memsys::Profiler>
 makeProfiler(memsys::ProfilerKind kind)
 {
     switch (kind) {
-      case memsys::ProfilerKind::ListMattson:
-        return std::make_unique<memsys::StackDistanceProfiler>();
       case memsys::ProfilerKind::Aet:
         return std::make_unique<AetProfiler>();
       case memsys::ProfilerKind::TreeMattson:

@@ -4,7 +4,7 @@
  *
  * Lives in approx rather than memsys because the AET construction is an
  * approximation-layer concern; memsys only defines the interface and
- * the two exact Mattson implementations.
+ * the exact tree-Mattson implementation.
  */
 
 #ifndef WSG_APPROX_PROFILER_FACTORY_HH

@@ -2,7 +2,7 @@
  * @file
  * Spatially-sampled LRU stack-distance profiler (SHARDS-style).
  *
- * Wraps the exact StackDistanceProfiler behind a hash admission filter:
+ * Wraps an exact Mattson profiler behind a hash admission filter:
  * a line is tracked iff mixAddr(line) < threshold. Spatial hashing keeps
  * *all* references to a sampled line, so reuse pairs survive intact and
  * a raw distance d measured among sampled lines estimates a full-trace

@@ -3,7 +3,7 @@
  * Spatially-hashed sampling configuration — the admission policy of the
  * approximate miss-rate-curve subsystem.
  *
- * The exact instrument (one StackDistanceProfiler per processor) costs
+ * The exact instrument (one Mattson profiler per processor) costs
  * O(log n) time and one live stack entry per distinct line, which is the
  * bottleneck between the laptop-scale studies and the paper's
  * prototypical 1 GB / 1024-PE problems. SHARDS-style spatial sampling

@@ -224,8 +224,7 @@ luStudyJob(const apps::lu::LuConfig &app_config,
         "\nproc_rows=" + std::to_string(app_config.procRows) +
         "\nproc_cols=" + std::to_string(app_config.procCols) + "\n";
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
-    job.body = [app_config, study,
-                line_bytes](const StudyContext &ctx) {
+    job.body = [app_config, study, line_bytes]() {
         trace::SharedAddressSpace space;
         sim::Multiprocessor mp(
             simConfigFor(app_config.numProcs(), line_bytes, study));
@@ -238,8 +237,7 @@ luStudyJob(const apps::lu::LuConfig &app_config,
         return chain.finish(analyzeWorkingSets(
             mp, study, Metric::MissesPerFlop, app.flops().totalFlops(),
             "LU n=" + std::to_string(app_config.n) +
-                " B=" + std::to_string(app_config.blockSize),
-            ctx.pool));
+                " B=" + std::to_string(app_config.blockSize)));
     };
     return job;
 }
@@ -262,8 +260,7 @@ cgStudyJob(const apps::cg::CgConfig &app_config, std::uint32_t iters,
         "\niters=" + std::to_string(iters) +
         "\nwarmup_iters=" + std::to_string(warmup_iters) + "\n";
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
-    job.body = [app_config, iters, warmup_iters, study,
-                line_bytes](const StudyContext &ctx) {
+    job.body = [app_config, iters, warmup_iters, study, line_bytes]() {
         trace::SharedAddressSpace space;
         sim::Multiprocessor mp(
             simConfigFor(app_config.numProcs(), line_bytes, study));
@@ -283,8 +280,7 @@ cgStudyJob(const apps::cg::CgConfig &app_config, std::uint32_t iters,
             mp, study, Metric::MissesPerFlop,
             app.flops().totalFlops() - warm_flops,
             "CG " + std::to_string(app_config.dims) +
-                "-D n=" + std::to_string(app_config.n),
-            ctx.pool));
+                "-D n=" + std::to_string(app_config.n)));
     };
     return job;
 }
@@ -306,7 +302,7 @@ fftStudyJob(const apps::fft::FftConfig &app_config,
         std::to_string(warmup_transforms) + "\n";
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
     job.body = [app_config, transforms, warmup_transforms, study,
-                line_bytes](const StudyContext &ctx) {
+                line_bytes]() {
         trace::SharedAddressSpace space;
         sim::Multiprocessor mp(
             simConfigFor(app_config.numProcs, line_bytes, study));
@@ -330,8 +326,7 @@ fftStudyJob(const apps::fft::FftConfig &app_config,
             mp, study, Metric::MissesPerFlop,
             app.flops().totalFlops() - warm_flops,
             "FFT logN=" + std::to_string(app_config.logN) +
-                " r=" + std::to_string(app_config.internalRadix),
-            ctx.pool));
+                " r=" + std::to_string(app_config.internalRadix)));
     };
     return job;
 }
@@ -356,8 +351,7 @@ barnesStudyJob(const apps::barnes::BarnesConfig &app_config,
         std::to_string(steps) + "\nwarmup_steps=" +
         std::to_string(warmup_steps) + "\n";
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
-    job.body = [app_config, steps, warmup_steps, study,
-                line_bytes](const StudyContext &ctx) {
+    job.body = [app_config, steps, warmup_steps, study, line_bytes]() {
         trace::SharedAddressSpace space;
         sim::Multiprocessor mp(
             simConfigFor(app_config.numProcs, line_bytes, study));
@@ -378,8 +372,7 @@ barnesStudyJob(const apps::barnes::BarnesConfig &app_config,
             mp, study, Metric::ReadMissRate, 0,
             "Barnes-Hut n=" + std::to_string(app_config.numBodies) +
                 " theta=" +
-                std::to_string(app_config.theta).substr(0, 4),
-            ctx.pool));
+                std::to_string(app_config.theta).substr(0, 4)));
     };
     return job;
 }
@@ -410,8 +403,7 @@ volrendStudyJob(const apps::volrend::VolumeDims &dims,
         std::to_string(frames) + "\nwarmup_frames=" +
         std::to_string(warmup_frames) + "\n";
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
-    job.body = [dims, render, frames, warmup_frames, study,
-                line_bytes](const StudyContext &ctx) {
+    job.body = [dims, render, frames, warmup_frames, study, line_bytes]() {
         trace::SharedAddressSpace space;
         sim::Multiprocessor mp(
             simConfigFor(render.numProcs, line_bytes, study));
@@ -433,7 +425,7 @@ volrendStudyJob(const apps::volrend::VolumeDims &dims,
         chain.checkDeadline();
         return chain.finish(analyzeWorkingSets(
             mp, study, Metric::ReadMissRate, 0,
-            "Volrend " + std::to_string(dims.nx) + "^3", ctx.pool));
+            "Volrend " + std::to_string(dims.nx) + "^3"));
     };
     return job;
 }
@@ -452,8 +444,7 @@ choleskyStudyJob(const apps::lu::LuConfig &app_config,
         std::to_string(app_config.procRows) + "\nproc_cols=" +
         std::to_string(app_config.procCols) + "\n";
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
-    job.body = [app_config, study,
-                line_bytes](const StudyContext &ctx) {
+    job.body = [app_config, study, line_bytes]() {
         trace::SharedAddressSpace space;
         sim::Multiprocessor mp(
             simConfigFor(app_config.numProcs(), line_bytes, study));
@@ -466,8 +457,7 @@ choleskyStudyJob(const apps::lu::LuConfig &app_config,
         return chain.finish(analyzeWorkingSets(
             mp, study, Metric::MissesPerFlop, app.flops().totalFlops(),
             "Cholesky n=" + std::to_string(app_config.n) +
-                " B=" + std::to_string(app_config.blockSize),
-            ctx.pool));
+                " B=" + std::to_string(app_config.blockSize)));
     };
     return job;
 }
@@ -490,8 +480,7 @@ unstructuredStudyJob(const apps::cg::UnstructuredConfig &app_config,
         std::to_string(iters) + "\nwarmup_iters=" +
         std::to_string(warmup_iters) + "\n";
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
-    job.body = [app_config, iters, warmup_iters, study,
-                line_bytes](const StudyContext &ctx) {
+    job.body = [app_config, iters, warmup_iters, study, line_bytes]() {
         trace::SharedAddressSpace space;
         sim::Multiprocessor mp(
             simConfigFor(app_config.numProcs, line_bytes, study));
@@ -511,8 +500,7 @@ unstructuredStudyJob(const apps::cg::UnstructuredConfig &app_config,
             mp, study, Metric::MissesPerFlop,
             app.flops().totalFlops() - warm_flops,
             "UnstructuredCG n=" +
-                std::to_string(app_config.numVertices),
-            ctx.pool));
+                std::to_string(app_config.numVertices)));
     };
     return job;
 }
@@ -535,7 +523,7 @@ fft2dStudyJob(const apps::fft::Fft2dConfig &app_config,
         std::to_string(warmup_transforms) + "\n";
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
     job.body = [app_config, transforms, warmup_transforms, study,
-                line_bytes](const StudyContext &ctx) {
+                line_bytes]() {
         trace::SharedAddressSpace space;
         sim::Multiprocessor mp(
             simConfigFor(app_config.numProcs, line_bytes, study));
@@ -563,8 +551,7 @@ fft2dStudyJob(const apps::fft::Fft2dConfig &app_config,
             mp, study, Metric::MissesPerFlop,
             app.flops().totalFlops() - warm_flops,
             "FFT2D " + std::to_string(app_config.rows()) + "x" +
-                std::to_string(app_config.cols()),
-            ctx.pool));
+                std::to_string(app_config.cols())));
     };
     return job;
 }
@@ -589,7 +576,7 @@ fft3dStudyJob(const apps::fft::Fft3dConfig &app_config,
         std::to_string(warmup_transforms) + "\n";
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
     job.body = [app_config, transforms, warmup_transforms, study,
-                line_bytes](const StudyContext &ctx) {
+                line_bytes]() {
         trace::SharedAddressSpace space;
         sim::Multiprocessor mp(
             simConfigFor(app_config.numProcs, line_bytes, study));
@@ -622,8 +609,7 @@ fft3dStudyJob(const apps::fft::Fft3dConfig &app_config,
             app.flops().totalFlops() - warm_flops,
             "FFT3D " + std::to_string(app_config.n0()) + "x" +
                 std::to_string(app_config.n1()) + "x" +
-                std::to_string(app_config.n2()),
-            ctx.pool));
+                std::to_string(app_config.n2())));
     };
     return job;
 }
@@ -632,7 +618,7 @@ StudyResult
 runLuStudy(const apps::lu::LuConfig &app_config, const StudyConfig &study,
            std::uint32_t line_bytes)
 {
-    return luStudyJob(app_config, study, line_bytes).body(StudyContext{});
+    return luStudyJob(app_config, study, line_bytes).body();
 }
 
 StudyResult
@@ -640,7 +626,7 @@ runCholeskyStudy(const apps::lu::LuConfig &app_config,
                  const StudyConfig &study, std::uint32_t line_bytes)
 {
     return choleskyStudyJob(app_config, study, line_bytes)
-        .body(StudyContext{});
+        .body();
 }
 
 StudyResult
@@ -650,7 +636,7 @@ runUnstructuredStudy(const apps::cg::UnstructuredConfig &app_config,
 {
     return unstructuredStudyJob(app_config, iters, warmup_iters, study,
                                 line_bytes)
-        .body(StudyContext{});
+        .body();
 }
 
 StudyResult
@@ -660,7 +646,7 @@ runFft2dStudy(const apps::fft::Fft2dConfig &app_config,
 {
     return fft2dStudyJob(app_config, transforms, warmup_transforms,
                          study, line_bytes)
-        .body(StudyContext{});
+        .body();
 }
 
 StudyResult
@@ -670,7 +656,7 @@ runFft3dStudy(const apps::fft::Fft3dConfig &app_config,
 {
     return fft3dStudyJob(app_config, transforms, warmup_transforms,
                          study, line_bytes)
-        .body(StudyContext{});
+        .body();
 }
 
 StudyResult
@@ -679,7 +665,7 @@ runCgStudy(const apps::cg::CgConfig &app_config, std::uint32_t iters,
            std::uint32_t line_bytes)
 {
     return cgStudyJob(app_config, iters, warmup_iters, study, line_bytes)
-        .body(StudyContext{});
+        .body();
 }
 
 StudyResult
@@ -689,7 +675,7 @@ runFftStudy(const apps::fft::FftConfig &app_config,
 {
     return fftStudyJob(app_config, transforms, warmup_transforms, study,
                        line_bytes)
-        .body(StudyContext{});
+        .body();
 }
 
 StudyResult
@@ -699,7 +685,7 @@ runBarnesStudy(const apps::barnes::BarnesConfig &app_config,
 {
     return barnesStudyJob(app_config, steps, warmup_steps, study,
                           line_bytes)
-        .body(StudyContext{});
+        .body();
 }
 
 StudyResult
@@ -710,7 +696,7 @@ runVolrendStudy(const apps::volrend::VolumeDims &dims,
 {
     return volrendStudyJob(dims, render, frames, warmup_frames, study,
                            line_bytes)
-        .body(StudyContext{});
+        .body();
 }
 
 } // namespace wsg::core

@@ -26,18 +26,16 @@ namespace
  * identical reports for identical jobs.
  */
 JobReport
-executeJob(const StudyJob &job, ThreadPool *pool)
+executeJob(const StudyJob &job)
 {
     JobReport report;
     report.name = job.name;
     if (!job.canonicalConfig.empty())
         report.configHash = stats::fnv1a64Hex(job.canonicalConfig);
-    StudyContext ctx;
-    ctx.pool = pool;
 
     auto t0 = std::chrono::steady_clock::now();
     try {
-        report.result = job.body(ctx);
+        report.result = job.body();
         report.ok = true;
     } catch (const StudyTimeoutError &e) {
         report.error = e.what();
@@ -64,7 +62,7 @@ executeJob(const StudyJob &job, ThreadPool *pool)
 JobReport
 runJobInline(const StudyJob &job)
 {
-    return executeJob(job, nullptr);
+    return executeJob(job);
 }
 
 StudyRunner::StudyRunner(const RunnerConfig &config)
@@ -98,7 +96,7 @@ StudyRunner::runOne(const StudyJob &job, std::size_t index,
     started.name = job.name;
     emit(started);
 
-    JobReport report = executeJob(job, pool_.get());
+    JobReport report = executeJob(job);
 
     JobEvent finished;
     finished.kind = JobEvent::Kind::Finished;

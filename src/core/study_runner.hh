@@ -6,17 +6,17 @@
  * obtained by re-running applications across many configurations. The
  * studies are embarrassingly parallel — each owns its Multiprocessor,
  * its address space, and its RNG seeds — so this runner executes them
- * concurrently on a ThreadPool and additionally parallelizes the curve
- * point evaluation *inside* each study (CurveSpec::parallelFor).
+ * concurrently on a ThreadPool, one study per worker. A study itself
+ * runs on one thread: its curve read-out is one pass per histogram,
+ * too little work to split.
  *
  * Determinism guarantee: a study executed through the runner produces
  * byte-identical curves, knees, and aggregate counters to a serial run,
  * at any worker count. This holds because (1) each study job is
- * internally sequential and shares no mutable state with its siblings,
- * (2) curve points are pure functions of immutable histograms written
- * to index-addressed slots and assembled in index order, and (3) job
- * reports are returned in submission order regardless of completion
- * order. test_core_runner.cc enforces the guarantee at 2/4/8 workers.
+ * sequential and shares no mutable state with its siblings, and (2)
+ * job reports are returned in submission order regardless of
+ * completion order. test_core_runner.cc enforces the guarantee at
+ * 2/4/8 workers.
  *
  * Observability: every job is wall-clock timed, its simulated-reference
  * throughput is computed from the aggregate counters, and an optional
@@ -40,17 +40,6 @@
 namespace wsg::core
 {
 
-/** Handed to every study body; carries the parallel resources. */
-struct StudyContext
-{
-    /**
-     * Pool for intra-study parallelism (curve point evaluation), or
-     * null when running serially. Pass to analyzeWorkingSets / wire
-     * into CurveSpec::parallelFor.
-     */
-    ThreadPool *pool = nullptr;
-};
-
 /** One schedulable unit: a named, self-contained study. */
 struct StudyJob
 {
@@ -58,7 +47,7 @@ struct StudyJob
     std::string name;
     /** Builds, runs, and analyzes the study. Must not share mutable
      *  state with other jobs (each constructs its own Multiprocessor). */
-    std::function<StudyResult(const StudyContext &)> body;
+    std::function<StudyResult()> body;
     /**
      * Canonical serialization of everything that determines the study's
      * output bytes: application kind and parameters, line size, sweep,
@@ -230,10 +219,9 @@ struct RunnerCli
     double timeoutSeconds = 0.0;
     /**
      * --profiler KIND: which miss-rate-curve construction the studies
-     * run (list-mattson | tree-mattson | aet, with "list"/"tree"
-     * accepted as short forms). Benches copy this into
-     * StudyConfig::profiler. AET combined with a sampling flag is
-     * rejected.
+     * run (tree-mattson | aet, with "tree" accepted as a short form).
+     * Benches copy this into StudyConfig::profiler. AET combined with a
+     * sampling flag is rejected.
      */
     memsys::ProfilerKind profiler = memsys::ProfilerKind::TreeMattson;
     /**

@@ -1,8 +1,5 @@
 #include "core/thread_pool.hh"
 
-#include <algorithm>
-#include <memory>
-
 namespace wsg::core
 {
 
@@ -73,76 +70,6 @@ ThreadPool::workerLoop()
                 idleCv_.notify_all();
         }
     }
-}
-
-void
-ThreadPool::parallelFor(std::size_t n,
-                        const std::function<void(std::size_t)> &body)
-{
-    if (n == 0)
-        return;
-    if (n == 1 || size() == 0) {
-        for (std::size_t i = 0; i < n; ++i)
-            body(i);
-        return;
-    }
-
-    // Shared cursor + completion count, heap-held so helper tasks that
-    // run after the caller has already collected every iteration (the
-    // cursor was exhausted before they were scheduled) still touch live
-    // memory. The body is copied to the heap for the same reason.
-    struct ForState
-    {
-        std::atomic<std::size_t> next{0};
-        std::atomic<std::size_t> done{0};
-        std::size_t total = 0;
-        std::function<void(std::size_t)> body;
-        std::mutex m;
-        std::condition_variable cv;
-    };
-    auto state = std::make_shared<ForState>();
-    state->total = n;
-    state->body = body;
-
-    // Claim blocks of kForGrain iterations until the cursor runs out;
-    // whoever completes the final iteration signals the caller.
-    auto drain = [](const std::shared_ptr<ForState> &st) {
-        std::size_t completed = 0;
-        for (;;) {
-            std::size_t begin =
-                st->next.fetch_add(kForGrain, std::memory_order_relaxed);
-            if (begin >= st->total)
-                break;
-            std::size_t end = std::min(begin + kForGrain, st->total);
-            for (std::size_t i = begin; i < end; ++i)
-                st->body(i);
-            completed += end - begin;
-        }
-        if (completed == 0)
-            return;
-        std::size_t done =
-            st->done.fetch_add(completed, std::memory_order_acq_rel) +
-            completed;
-        if (done == st->total) {
-            std::lock_guard<std::mutex> lock(st->m);
-            st->cv.notify_all();
-        }
-    };
-
-    std::size_t helpers = std::min<std::size_t>(
-        size(), (n + kForGrain - 1) / kForGrain);
-    for (std::size_t h = 0; h + 1 < helpers; ++h)
-        submit([state, drain]() { drain(state); });
-
-    // The calling thread participates, so nested parallelFor from
-    // inside a pool job cannot deadlock even with every worker busy.
-    drain(state);
-
-    std::unique_lock<std::mutex> lock(state->m);
-    state->cv.wait(lock, [&state] {
-        return state->done.load(std::memory_order_acquire) ==
-               state->total;
-    });
 }
 
 } // namespace wsg::core

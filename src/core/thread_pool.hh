@@ -2,34 +2,20 @@
  * @file
  * Fixed-size worker pool used by the parallel study runner.
  *
- * Design constraints (see DESIGN.md and the study-runner README section):
+ * Jobs are plain std::function<void()> drained from a FIFO queue by a
+ * fixed set of worker threads — no work stealing between queues, so
+ * there is exactly one shared queue to reason about. Parallelism is
+ * across jobs only (whole studies, or the serving layer's requests);
+ * nothing nests.
  *
- *  - Jobs are plain std::function<void()> drained from a FIFO queue by a
- *    fixed set of worker threads — no work stealing between queues, so
- *    there is exactly one shared queue to reason about.
- *  - parallelFor() distributes loop iterations through a shared atomic
- *    cursor that the *calling thread also drains*. This makes nested use
- *    safe: a study job running on a pool worker can parallelFor its
- *    curve points even when every other worker is busy — the caller
- *    simply computes the iterations itself and never blocks on queue
- *    space. Helper tasks that arrive after the cursor is exhausted are
- *    no-ops.
- *  - Iterations are claimed in blocks (kForGrain) so neighbouring output
- *    slots — typically adjacent doubles in a curve's y vector — are
- *    written by one thread, keeping host false sharing to the block
- *    boundaries (cf. Cole & Ramachandran's analysis of false sharing in
- *    randomized schedulers).
- *
- * Determinism: the pool never reorders *results*. parallelFor writes to
- * caller-owned, index-addressed slots, and the study runner assembles
- * outputs in submission order, so anything computed through the pool is
- * bit-identical to a serial run.
+ * Determinism: the pool never reorders *results*. The study runner
+ * assembles outputs in submission order, so anything computed through
+ * the pool is bit-identical to a serial run.
  */
 
 #ifndef WSG_CORE_THREAD_POOL_HH
 #define WSG_CORE_THREAD_POOL_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -65,25 +51,10 @@ class ThreadPool
     /** Block until the queue is empty and every job has finished. */
     void waitIdle();
 
-    /**
-     * Run body(0) .. body(n-1), cooperatively with the pool. The calling
-     * thread participates, so this is safe to call from inside a pool
-     * job (nested parallelism degrades to the caller doing the work).
-     * Returns when every iteration has completed.
-     *
-     * The iteration order is unspecified; callers must write results to
-     * index-addressed slots for deterministic output.
-     */
-    void parallelFor(std::size_t n,
-                     const std::function<void(std::size_t)> &body);
-
     /** std::thread::hardware_concurrency with a floor of 1. */
     static unsigned hardwareThreads();
 
   private:
-    /** Iterations claimed per cursor bump in parallelFor. */
-    static constexpr std::size_t kForGrain = 8;
-
     void workerLoop();
 
     std::vector<std::thread> workers_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "core/thread_pool.hh"
 #include "stats/table.hh"
 #include "stats/units.hh"
 
@@ -13,8 +12,7 @@ namespace wsg::core
 StudyResult
 analyzeWorkingSets(const sim::Multiprocessor &mp,
                    const StudyConfig &config, Metric metric,
-                   std::uint64_t total_flops, const std::string &name,
-                   ThreadPool *pool)
+                   std::uint64_t total_flops, const std::string &name)
 {
     StudyResult result;
     result.maxFootprintBytes = mp.maxFootprintBytes();
@@ -30,13 +28,6 @@ analyzeWorkingSets(const sim::Multiprocessor &mp,
                         config.pointsPerOctave, mp.config().lineBytes);
     spec.includeCold = config.includeCold;
     spec.sampling = mp.config().sampling;
-    if (pool != nullptr) {
-        spec.parallelFor = [pool](std::size_t n,
-                                  const std::function<void(std::size_t)>
-                                      &body) {
-            pool->parallelFor(n, body);
-        };
-    }
 
     result.curve = metric == Metric::MissesPerFlop
                        ? mp.missesPerFlopCurve(spec, total_flops, name)

@@ -6,7 +6,8 @@
  *   1. run an instrumented application against a Multiprocessor sink
  *      (optionally with warm-up steps excluded via setMeasuring),
  *   2. extract the miss-rate-versus-cache-size curve from the
- *      stack-distance profiles,
+ *      stack-distance profiles (one serial pass per histogram; see
+ *      sim::Multiprocessor::finiteMisses),
  *   3. find the knees => the working-set hierarchy.
  */
 
@@ -27,8 +28,6 @@
 
 namespace wsg::core
 {
-
-class ThreadPool;
 
 /**
  * Typed failure for a study that exceeded its watchdog budget
@@ -83,10 +82,9 @@ struct StudyConfig
     approx::SamplingConfig sampling{};
     /**
      * Which miss-rate-curve construction the simulator's profilers run
-     * (see memsys::ProfilerKind). The Mattson kinds are exact and
-     * bit-identical to each other; Aet approximates the finite-distance
-     * part of the curve at O(1) per reference and cannot be combined
-     * with sampling.
+     * (see memsys::ProfilerKind). Tree-Mattson is exact; Aet
+     * approximates the finite-distance part of the curve at O(1) per
+     * reference and cannot be combined with sampling.
      */
     memsys::ProfilerKind profiler = memsys::ProfilerKind::TreeMattson;
     /**
@@ -195,15 +193,11 @@ struct StudyResult
  * @param metric Metric to build the curve in.
  * @param total_flops FLOPs for MissesPerFlop (ignored otherwise).
  * @param name Curve name for display.
- * @param pool Optional thread pool: curve points are then evaluated in
- *        parallel (bit-identical to the serial evaluation, see
- *        CurveSpec::parallelFor).
  */
 StudyResult analyzeWorkingSets(const sim::Multiprocessor &mp,
                                const StudyConfig &config, Metric metric,
                                std::uint64_t total_flops,
-                               const std::string &name,
-                               ThreadPool *pool = nullptr);
+                               const std::string &name);
 
 /** Render a StudyResult as a small report (curve + knees + counters). */
 std::string describeStudy(const StudyResult &result);

@@ -2,28 +2,31 @@
  * @file
  * The common stack-distance profiler interface.
  *
- * Every miss-rate-curve construction in the tree — the legacy
- * Fenwick-with-compaction exact Mattson, the order-statistic-tree exact
- * Mattson, and the AET approximate profiler — ingests one classified
- * reference at a time and accumulates a distribution from which the
- * whole miss-count-versus-cache-size curve is read off. This interface
- * is that contract: the simulator, the study runner and the benches
- * program against it, so constructions can be swapped per run
- * (SimConfig::profiler, --profiler) without touching any consumer.
+ * Every miss-rate-curve construction in the tree — the exact
+ * order-statistic-tree Mattson profiler and the approximate AET
+ * profiler — ingests one classified reference at a time and accumulates
+ * a distribution from which the whole miss-count-versus-cache-size
+ * curve is read off. This interface is that contract: the simulator,
+ * the study runner and the benches program against it, so constructions
+ * can be swapped per run (SimConfig::profiler, --profiler) without
+ * touching any consumer.
  *
  * The one construction-specific degree of freedom is how a cache
- * capacity maps onto the recorded distribution: exact Mattson profilers
- * record stack distances, so the miss count at capacity C lines is
+ * capacity maps onto the recorded distribution: exact Mattson records
+ * stack distances, so the miss count at capacity C lines is
  * histogram.countAtLeast(C) — capacityToThreshold is the identity. AET
  * records quantized reuse times and maps C through its reuse-time model
  * (capacityToThreshold returns the reuse-time code t*(C)); the miss
  * count is then countAtLeast(t*(C)) against the same histogram type.
- * Consumers therefore evaluate every construction with one expression:
+ * Consumers therefore evaluate every construction with one expression,
+ * per processor (each processor's profiler models its own stream):
  *
  *   misses(C) = hist.countAtLeast(profiler.capacityToThreshold(C))
  *
- * which for the Mattson kinds is bit-identical to indexing the
- * histogram with C directly.
+ * sim::Multiprocessor::finiteMisses is the one place that evaluates it,
+ * for all sweep sizes in one suffix pass (Histogram::countsAtLeast);
+ * for Mattson it is bit-identical to indexing the histogram with C
+ * directly.
  */
 
 #ifndef WSG_MEMSYS_PROFILER_HH
@@ -56,20 +59,16 @@ enum class RefClass : std::uint8_t
 struct DistanceSample
 {
     RefClass kind = RefClass::Cold;
-    /** Valid only when kind == Finite: the stack distance for the
-     *  Mattson kinds, the quantized reuse-time code for AET. */
+    /** Valid only when kind == Finite: the stack distance for
+     *  Mattson, the quantized reuse-time code for AET. */
     std::uint64_t distance = 0;
 };
 
 /** Which miss-rate-curve construction a profiler implements. */
 enum class ProfilerKind : std::uint8_t
 {
-    /** Exact Mattson: Fenwick tree over timestamps with periodic
-     *  compaction (the original instrument). */
-    ListMattson,
     /** Exact Mattson: bitmap order-statistic tree over dense
-     *  timestamps; bit-identical output to ListMattson, strictly
-     *  faster. */
+     *  timestamps. */
     TreeMattson,
     /** AET (average eviction time): approximate construction from the
      *  reuse-time distribution; O(1) per reference, no stack state. */
@@ -81,7 +80,6 @@ inline const char *
 profilerKindName(ProfilerKind kind)
 {
     switch (kind) {
-      case ProfilerKind::ListMattson: return "list-mattson";
       case ProfilerKind::Aet: return "aet";
       case ProfilerKind::TreeMattson: break;
     }
@@ -90,28 +88,26 @@ profilerKindName(ProfilerKind kind)
 
 /**
  * Parse a kind name; accepts the canonical spellings plus the short
- * forms "list", "tree" and "aet".
+ * form "tree".
  * @throws std::invalid_argument on an unknown name.
  */
 inline ProfilerKind
 parseProfilerKind(const std::string &name)
 {
-    if (name == "list" || name == "list-mattson")
-        return ProfilerKind::ListMattson;
     if (name == "tree" || name == "tree-mattson")
         return ProfilerKind::TreeMattson;
     if (name == "aet")
         return ProfilerKind::Aet;
     throw std::invalid_argument(
         "unknown profiler kind '" + name +
-        "' (expected list-mattson, tree-mattson or aet)");
+        "' (expected tree-mattson or aet)");
 }
 
 /**
  * Abstract single-processor reference profiler. See the file comment
- * for the capacity-to-threshold contract; everything else mirrors the
- * original StackDistanceProfiler API, including the tombstone
- * semantics of invalidate() versus the full forget of evict().
+ * for the capacity-to-threshold contract. invalidate() leaves a
+ * tombstone (the next access is Coherence); evict() forgets the line
+ * entirely (the next access is Cold).
  */
 class Profiler
 {
@@ -164,9 +160,8 @@ class Profiler
     /**
      * Histogram threshold equivalent to a capacity of @p capacity_lines:
      * misses(C) == recorded-sample count >= capacityToThreshold(C).
-     * Identity for the exact Mattson kinds; the reuse-time transform
-     * for AET. Pure and thread-safe — curve points are evaluated
-     * concurrently.
+     * Identity for exact Mattson; the reuse-time transform for AET.
+     * Pure: it reads only the finished model.
      */
     virtual std::uint64_t
     capacityToThreshold(std::uint64_t capacity_lines) const

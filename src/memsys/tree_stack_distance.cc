@@ -101,8 +101,8 @@ TreeStackDistanceProfiler::clear()
 std::uint64_t
 TreeStackDistanceProfiler::memoryBytes() const
 {
-    // Same map-node constant as the list profiler so exact-vs-exact
-    // memory comparisons isolate the index structure.
+    // One modelled hash-map node per touched line, so the reported
+    // bytes compare across constructions by their index structures.
     constexpr std::uint64_t kMapNodeBytes = 48;
     return static_cast<std::uint64_t>(last_.size()) * kMapNodeBytes +
            live_.memoryBytes() + sizeof(*this);

@@ -1,21 +1,29 @@
 /**
  * @file
- * Order-statistic-tree exact Mattson profiler (ProfilerKind::TreeMattson).
+ * Mattson LRU stack-distance profiler (ProfilerKind::TreeMattson), the
+ * tree's one exact construction.
  *
- * Semantically identical — bit for bit, enforced by
- * test_memsys_profiler_differential — to StackDistanceProfiler: the
- * same RefClass classification, the same tombstone behaviour, the same
- * distances. The difference is purely mechanical: live timestamps sit
- * in an OrderStatSet — a dense bitmap with an implicit order-statistic
- * tree over group counts — whose operations are all search-free bit
- * twiddles plus short Fenwick walks. Timestamps are handed out
- * consecutively so the set stays dense; when erased stamps have blown
- * the span past 4x the live count the profiler renumbers them (an
- * order-preserving O(live log live) walk, amortized O(1) per access
- * because at least 3x live accesses must pass between renumberings).
- * Renumbering preserves the relative order of live stamps, so every
- * reported distance is unaffected — the bit-identical guarantee holds
- * across compaction points.
+ * This is the paper's measuring instrument generalized to every cache
+ * size at once: for a fully associative LRU cache, a reference hits in
+ * a cache of capacity C lines iff its stack distance (number of
+ * *distinct* lines referenced since the previous reference to the same
+ * line) is < C. One profiling pass therefore yields the exact miss
+ * count for all cache sizes simultaneously. Coherence is folded in
+ * through invalidate(): an invalidated line leaves the stack, and its
+ * next access is a Coherence miss (a miss at every cache size — the
+ * paper's inherent-communication floor). First-ever accesses are Cold.
+ *
+ * Live timestamps sit in an OrderStatSet — a dense bitmap with an
+ * implicit order-statistic tree over group counts — whose operations
+ * are all search-free bit twiddles plus short Fenwick walks. Timestamps
+ * are handed out consecutively so the set stays dense; when erased
+ * stamps have blown the span past 4x the live count the profiler
+ * renumbers them (an order-preserving O(live log live) walk, amortized
+ * O(1) per access because at least 3x live accesses must pass between
+ * renumberings). Renumbering preserves the relative order of live
+ * stamps, so every reported distance is unaffected.
+ * test_memsys_profiler_differential checks every distance against an
+ * explicit O(n) LRU stack, across renumbering points.
  */
 
 #ifndef WSG_MEMSYS_TREE_STACK_DISTANCE_HH

@@ -12,11 +12,11 @@
  * Study overrides — "sample_rate" (fixed-rate sampling), "sample_size"
  * (fixed-size sampling; mutually exclusive with sample_rate),
  * "analyze_races" (bool), "timeout_seconds", "profiler"
- * (list-mattson | tree-mattson | aet), "protocol" (write-invalidate |
- * write-update | mi | msi | mesi), "hierarchy" (single |
- * incl:<l1>:<l2> | excl:<l1>:<l2>), "scheduler" (static | round-robin
- * | steal[:rRATE][:sSEED]) and "points_per_octave" — mirror the runner
- * CLI. The preset itself may carry a variant suffix
+ * (tree-mattson | aet; any other name is a bad_request), "protocol"
+ * (write-invalidate | write-update | mi | msi | mesi), "hierarchy"
+ * (single | incl:<l1>:<l2> | excl:<l1>:<l2>), "scheduler" (static |
+ * round-robin | steal[:rRATE][:sSEED]) and "points_per_octave" —
+ * mirror the runner CLI. The preset itself may carry a variant suffix
  * ("fig2-lu-B16@size=small@line=32", see core/suite), which is how the
  * campaign driver sweeps problem and line sizes over the same wire
  * format.

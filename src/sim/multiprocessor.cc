@@ -11,28 +11,6 @@
 namespace wsg::sim
 {
 
-std::uint64_t
-ProcStats::readMissesAt(std::uint64_t capacity_lines,
-                        bool include_cold) const
-{
-    std::uint64_t misses = readDistances.countAtLeast(capacity_lines);
-    misses += readCoherence;
-    if (include_cold)
-        misses += readCold;
-    return misses;
-}
-
-std::uint64_t
-ProcStats::writeMissesAt(std::uint64_t capacity_lines,
-                         bool include_cold) const
-{
-    std::uint64_t misses = writeDistances.countAtLeast(capacity_lines);
-    misses += writeCoherence;
-    if (include_cold)
-        misses += writeCold;
-    return misses;
-}
-
 Multiprocessor::Multiprocessor(const SimConfig &config)
     : config_(config),
       policy_(&coherencePolicyFor(config.protocol)),
@@ -375,36 +353,29 @@ Multiprocessor::arraySlot(Addr byte_addr)
 namespace
 {
 
-/**
- * Evaluate y(cache size) at every sweep point — through the spec's
- * parallel-for hook when one is attached — and assemble the curve in
- * index order so the result is identical either way.
- */
+/** Curve over the spec's sweep with y_at(i) at the i-th cache size. */
 stats::Curve
 evalCurvePoints(const CurveSpec &spec, const std::string &name,
-                const std::function<double(std::uint64_t)> &y_at)
+                const std::function<double(std::size_t)> &y_at)
 {
     stats::Curve curve(name);
-    std::vector<double> ys(spec.cacheSizesBytes.size(), 0.0);
-    auto eval_point = [&](std::size_t i) {
-        ys[i] = y_at(spec.cacheSizesBytes[i]);
-    };
-    if (spec.parallelFor) {
-        spec.parallelFor(ys.size(), eval_point);
-    } else {
-        for (std::size_t i = 0; i < ys.size(); ++i)
-            eval_point(i);
-    }
-    for (std::size_t i = 0; i < ys.size(); ++i)
+    for (std::size_t i = 0; i < spec.cacheSizesBytes.size(); ++i)
         curve.addPoint(static_cast<double>(spec.cacheSizesBytes[i]),
-                       ys[i]);
+                       y_at(i));
     return curve;
+}
+
+/** Misses at every cache size: coherence, plus cold when counted. */
+std::uint64_t
+floorMisses(const approx::SampledCounts &counts, bool include_cold)
+{
+    return counts.coherence + (include_cold ? counts.cold : 0);
 }
 
 } // namespace
 
 ProcStats
-Multiprocessor::aggregateStats() const
+Multiprocessor::aggregateCounters() const
 {
     ProcStats agg;
     for (const auto &st : stats_) {
@@ -420,13 +391,22 @@ Multiprocessor::aggregateStats() const
         agg.readFalseSharing += st.readFalseSharing;
         agg.writeTrueSharing += st.writeTrueSharing;
         agg.writeFalseSharing += st.writeFalseSharing;
-        agg.readDistances.merge(st.readDistances);
-        agg.writeDistances.merge(st.writeDistances);
         agg.concreteReadMisses += st.concreteReadMisses;
         agg.concreteWriteMisses += st.concreteWriteMisses;
         agg.updatesSent += st.updatesSent;
         agg.invalidationsSent += st.invalidationsSent;
         agg.upgradesSent += st.upgradesSent;
+    }
+    return agg;
+}
+
+ProcStats
+Multiprocessor::aggregateStats() const
+{
+    ProcStats agg = aggregateCounters();
+    for (const auto &st : stats_) {
+        agg.readDistances.merge(st.readDistances);
+        agg.writeDistances.merge(st.writeDistances);
     }
     return agg;
 }
@@ -506,7 +486,6 @@ approx::SampledCounts
 Multiprocessor::readCounts(const ProcStats &agg) const
 {
     approx::SampledCounts counts;
-    counts.distances = &agg.readDistances;
     counts.cold = agg.readCold;
     counts.coherence = agg.readCoherence;
     counts.sampledRefs = agg.sampledReads;
@@ -519,7 +498,6 @@ approx::SampledCounts
 Multiprocessor::writeCounts(const ProcStats &agg) const
 {
     approx::SampledCounts counts;
-    counts.distances = &agg.writeDistances;
     counts.cold = agg.writeCold;
     counts.coherence = agg.writeCoherence;
     counts.sampledRefs = agg.sampledWrites;
@@ -528,32 +506,23 @@ Multiprocessor::writeCounts(const ProcStats &agg) const
     return counts;
 }
 
-std::uint64_t
-Multiprocessor::aetReadMisses(std::uint64_t capacity_lines,
-                              bool include_cold) const
+std::vector<std::uint64_t>
+Multiprocessor::finiteMisses(const CurveSpec &spec, bool writes,
+                             ProcId first_pid, ProcId last_pid) const
 {
-    std::uint64_t misses = 0;
-    for (std::uint32_t p = 0; p < config_.numProcs; ++p) {
-        misses += stats_[p].readDistances.countAtLeast(
-            profilers_[p].capacityToThreshold(capacity_lines));
-        misses += stats_[p].readCoherence;
-        if (include_cold)
-            misses += stats_[p].readCold;
-    }
-    return misses;
-}
-
-std::uint64_t
-Multiprocessor::aetWriteMisses(std::uint64_t capacity_lines,
-                               bool include_cold) const
-{
-    std::uint64_t misses = 0;
-    for (std::uint32_t p = 0; p < config_.numProcs; ++p) {
-        misses += stats_[p].writeDistances.countAtLeast(
-            profilers_[p].capacityToThreshold(capacity_lines));
-        misses += stats_[p].writeCoherence;
-        if (include_cold)
-            misses += stats_[p].writeCold;
+    std::vector<std::uint64_t> misses(spec.cacheSizesBytes.size(), 0);
+    std::vector<std::uint64_t> thresholds(misses.size());
+    for (ProcId p = first_pid; p <= last_pid; ++p) {
+        for (std::size_t i = 0; i < thresholds.size(); ++i) {
+            std::uint64_t lines = std::max<std::uint64_t>(
+                1, spec.cacheSizesBytes[i] / config_.lineBytes);
+            thresholds[i] = profilers_[p].capacityToThreshold(lines);
+        }
+        const stats::Histogram &hist = writes ? stats_[p].writeDistances
+                                              : stats_[p].readDistances;
+        std::vector<std::uint64_t> counts = hist.countsAtLeast(thresholds);
+        for (std::size_t i = 0; i < misses.size(); ++i)
+            misses[i] += counts[i];
     }
     return misses;
 }
@@ -563,23 +532,16 @@ Multiprocessor::readMissRateCurve(const CurveSpec &spec,
                                   const std::string &name) const
 {
     checkSpecSampling(spec);
-    ProcStats agg = aggregateStats();
+    ProcStats agg = aggregateCounters();
     if (agg.reads == 0)
         return stats::Curve(name);
     approx::ApproxCurve scaler(samplingDiagnostics());
     approx::SampledCounts counts = readCounts(agg);
-    if (config_.profiler == memsys::ProfilerKind::Aet) {
-        return evalCurvePoints(spec, name, [&](std::uint64_t bytes) {
-            std::uint64_t lines = std::max<std::uint64_t>(
-                1, bytes / config_.lineBytes);
-            return scaler.missRateFromMisses(
-                counts, aetReadMisses(lines, spec.includeCold));
-        });
-    }
-    return evalCurvePoints(spec, name, [&](std::uint64_t bytes) {
-        std::uint64_t lines = std::max<std::uint64_t>(
-            1, bytes / config_.lineBytes);
-        return scaler.missRate(counts, lines, spec.includeCold);
+    std::vector<std::uint64_t> finite =
+        finiteMisses(spec, false, 0, config_.numProcs - 1);
+    std::uint64_t floor = floorMisses(counts, spec.includeCold);
+    return evalCurvePoints(spec, name, [&](std::size_t i) {
+        return scaler.missRate(counts, finite[i] + floor);
     });
 }
 
@@ -593,7 +555,6 @@ Multiprocessor::procReadMissRateCurve(ProcId pid, const CurveSpec &spec,
         return stats::Curve(name);
     approx::ApproxCurve scaler(samplingDiagnostics());
     approx::SampledCounts counts;
-    counts.distances = &st.readDistances;
     counts.cold = st.readCold;
     counts.coherence = st.readCoherence;
     counts.sampledRefs = st.sampledReads;
@@ -612,22 +573,10 @@ Multiprocessor::procReadMissRateCurve(ProcId pid, const CurveSpec &spec,
         counts.expectedSampledRefs = static_cast<double>(st.reads);
         break;
     }
-    if (config_.profiler == memsys::ProfilerKind::Aet) {
-        return evalCurvePoints(spec, name, [&](std::uint64_t bytes) {
-            std::uint64_t lines = std::max<std::uint64_t>(
-                1, bytes / config_.lineBytes);
-            std::uint64_t misses = st.readDistances.countAtLeast(
-                profilers_[pid].capacityToThreshold(lines));
-            misses += st.readCoherence;
-            if (spec.includeCold)
-                misses += st.readCold;
-            return scaler.missRateFromMisses(counts, misses);
-        });
-    }
-    return evalCurvePoints(spec, name, [&](std::uint64_t bytes) {
-        std::uint64_t lines = std::max<std::uint64_t>(
-            1, bytes / config_.lineBytes);
-        return scaler.missRate(counts, lines, spec.includeCold);
+    std::vector<std::uint64_t> finite = finiteMisses(spec, false, pid, pid);
+    std::uint64_t floor = floorMisses(counts, spec.includeCold);
+    return evalCurvePoints(spec, name, [&](std::size_t i) {
+        return scaler.missRate(counts, finite[i] + floor);
     });
 }
 
@@ -637,7 +586,6 @@ Multiprocessor::missesPerFlopCurve(const CurveSpec &spec,
                                    const std::string &name) const
 {
     checkSpecSampling(spec);
-    ProcStats agg = aggregateStats();
     if (total_flops == 0)
         return stats::Curve(name);
     // The paper counts *double-word* misses; a wider line miss fetches
@@ -645,21 +593,12 @@ Multiprocessor::missesPerFlopCurve(const CurveSpec &spec,
     double words_per_line =
         static_cast<double>(config_.lineBytes) / 8.0;
     approx::ApproxCurve scaler(samplingDiagnostics());
-    approx::SampledCounts counts = readCounts(agg);
-    if (config_.profiler == memsys::ProfilerKind::Aet) {
-        return evalCurvePoints(spec, name, [&](std::uint64_t bytes) {
-            std::uint64_t lines = std::max<std::uint64_t>(
-                1, bytes / config_.lineBytes);
-            return scaler.missCountFromMisses(
-                       counts,
-                       aetReadMisses(lines, spec.includeCold)) *
-                   words_per_line / static_cast<double>(total_flops);
-        });
-    }
-    return evalCurvePoints(spec, name, [&](std::uint64_t bytes) {
-        std::uint64_t lines = std::max<std::uint64_t>(
-            1, bytes / config_.lineBytes);
-        return scaler.missCount(counts, lines, spec.includeCold) *
+    approx::SampledCounts counts = readCounts(aggregateCounters());
+    std::vector<std::uint64_t> finite =
+        finiteMisses(spec, false, 0, config_.numProcs - 1);
+    std::uint64_t floor = floorMisses(counts, spec.includeCold);
+    return evalCurvePoints(spec, name, [&](std::size_t i) {
+        return scaler.missCount(counts, finite[i] + floor) *
                words_per_line / static_cast<double>(total_flops);
     });
 }
@@ -670,31 +609,23 @@ Multiprocessor::trafficPerFlopCurve(const CurveSpec &spec,
                                     const std::string &name) const
 {
     checkSpecSampling(spec);
-    ProcStats agg = aggregateStats();
     if (total_flops == 0)
         return stats::Curve(name);
     approx::ApproxCurve scaler(samplingDiagnostics());
+    ProcStats agg = aggregateCounters();
     approx::SampledCounts reads = readCounts(agg);
     approx::SampledCounts writes = writeCounts(agg);
-    if (config_.profiler == memsys::ProfilerKind::Aet) {
-        return evalCurvePoints(spec, name, [&](std::uint64_t bytes) {
-            std::uint64_t lines = std::max<std::uint64_t>(
-                1, bytes / config_.lineBytes);
-            double fills = scaler.missCountFromMisses(
-                reads, aetReadMisses(lines, spec.includeCold));
-            double wmisses = scaler.missCountFromMisses(
-                writes, aetWriteMisses(lines, spec.includeCold));
-            return (fills + 2.0 * wmisses) * config_.lineBytes /
-                   static_cast<double>(total_flops);
-        });
-    }
-    return evalCurvePoints(spec, name, [&](std::uint64_t bytes) {
-        std::uint64_t lines = std::max<std::uint64_t>(
-            1, bytes / config_.lineBytes);
+    std::vector<std::uint64_t> read_finite =
+        finiteMisses(spec, false, 0, config_.numProcs - 1);
+    std::vector<std::uint64_t> write_finite =
+        finiteMisses(spec, true, 0, config_.numProcs - 1);
+    std::uint64_t read_floor = floorMisses(reads, spec.includeCold);
+    std::uint64_t write_floor = floorMisses(writes, spec.includeCold);
+    return evalCurvePoints(spec, name, [&](std::size_t i) {
         double fills =
-            scaler.missCount(reads, lines, spec.includeCold);
+            scaler.missCount(reads, read_finite[i] + read_floor);
         double wmisses =
-            scaler.missCount(writes, lines, spec.includeCold);
+            scaler.missCount(writes, write_finite[i] + write_floor);
         return (fills + 2.0 * wmisses) * config_.lineBytes /
                static_cast<double>(total_flops);
     });
@@ -704,22 +635,18 @@ MissClassCurves
 Multiprocessor::readMissClassCurves(const CurveSpec &spec) const
 {
     checkSpecSampling(spec);
-    ProcStats agg = aggregateStats();
+    ProcStats agg = aggregateCounters();
     approx::ApproxCurve scaler(samplingDiagnostics());
     approx::SampledCounts counts = readCounts(agg);
+    std::vector<std::uint64_t> finite =
+        finiteMisses(spec, false, 0, config_.numProcs - 1);
     MissClassCurves out;
     out.cacheSizesBytes = spec.cacheSizesBytes;
-    out.points.reserve(spec.cacheSizesBytes.size());
-    for (std::uint64_t bytes : spec.cacheSizesBytes) {
-        std::uint64_t lines =
-            std::max<std::uint64_t>(1, bytes / config_.lineBytes);
+    out.points.reserve(finite.size());
+    for (std::uint64_t capacity : finite) {
         MissClassPoint p;
         p.cold = scaler.scaledCount(counts, agg.readCold);
-        p.capacity = scaler.scaledCount(
-            counts,
-            config_.profiler == memsys::ProfilerKind::Aet
-                ? aetReadMisses(lines, false) - agg.readCoherence
-                : agg.readDistances.countAtLeast(lines));
+        p.capacity = scaler.scaledCount(counts, capacity);
         p.trueSharing =
             scaler.scaledCount(counts, agg.readTrueSharing);
         p.falseSharing =
@@ -837,7 +764,7 @@ Multiprocessor::hierarchyStats() const
 double
 Multiprocessor::concreteReadMissRate() const
 {
-    ProcStats agg = aggregateStats();
+    ProcStats agg = aggregateCounters();
     if (agg.reads == 0)
         return 0.0;
     return static_cast<double>(agg.concreteReadMisses) /

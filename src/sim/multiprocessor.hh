@@ -7,12 +7,17 @@
  * each processor having a single level of cache and an equal fraction of
  * the total main memory".
  *
- * Every processor owns a StackDistanceProfiler, so one application run
+ * Every processor owns a stack-distance profiler, so one application run
  * produces the exact fully-associative-LRU miss-rate curve over *all*
- * cache sizes. A write-invalidate directory sits across the processors:
- * a write by processor p removes the line from every other processor's
- * stack, so the next access by a previous sharer is a Coherence miss — a
- * miss at every cache size, i.e.\ the paper's inherent-communication floor.
+ * cache sizes. Every curve reads its miss counts through one path
+ * (finiteMisses): each processor's histogram counted at that
+ * processor's capacityToThreshold, summed, plus the cold/coherence
+ * floor — the memsys::Profiler contract, for every construction.
+ *
+ * A write-invalidate directory sits across the processors: a write by
+ * processor p removes the line from every other processor's stack, so
+ * the next access by a previous sharer is a Coherence miss — a miss at
+ * every cache size, i.e.\ the paper's inherent-communication floor.
  *
  * Warm-up control (setMeasuring) implements the paper's cold-start
  * exclusion: references always update cache and directory state, but only
@@ -76,7 +81,6 @@
 #include "memsys/cache.hh"
 #include "memsys/hierarchy.hh"
 #include "memsys/profiler.hh"
-#include "memsys/stack_distance.hh"
 #include "sim/coherence.hh"
 #include "stats/curve.hh"
 #include "stats/histogram.hh"
@@ -102,10 +106,10 @@ struct SimConfig
     /** Profiler sampling policy; default is exact profiling. */
     approx::SamplingConfig sampling{};
     /**
-     * Which miss-rate-curve construction each processor runs. The two
-     * Mattson kinds produce bit-identical curves (tree is the faster
-     * default); Aet trades exactness of the finite-distance part for
-     * O(1) per-reference cost and does not compose with sampling.
+     * Which miss-rate-curve construction each processor runs: exact
+     * tree-Mattson (the default), or Aet, which trades exactness of the
+     * finite-distance part for O(1) per-reference cost and does not
+     * compose with sampling.
      */
     memsys::ProfilerKind profiler = memsys::ProfilerKind::TreeMattson;
     /**
@@ -161,20 +165,6 @@ struct ProcStats
      *  visible in a profiling simulator, so this counter is what
      *  separates MESI from MSI. */
     std::uint64_t upgradesSent = 0;
-
-    /**
-     * Read misses in a fully associative LRU cache of @p capacity_lines.
-     * Under sampling this is the *raw sampled* miss count; the curve
-     * methods scale it to a full-trace estimate (approx::ApproxCurve).
-     * @param include_cold Count cold misses too (off for the paper's
-     *        warm-start methodology).
-     */
-    std::uint64_t readMissesAt(std::uint64_t capacity_lines,
-                               bool include_cold = false) const;
-
-    /** Write misses under the same model. */
-    std::uint64_t writeMissesAt(std::uint64_t capacity_lines,
-                                bool include_cold = false) const;
 };
 
 /** How to build miss-rate curves out of a finished simulation. */
@@ -184,19 +174,6 @@ struct CurveSpec
     std::vector<std::uint64_t> cacheSizesBytes;
     /** Include cold misses in the miss counts. */
     bool includeCold = false;
-    /**
-     * Optional parallel-for hook for point evaluation, called as
-     * parallelFor(n, body) with body(i) evaluating the i-th cache size.
-     * Null means serial evaluation. Each point is a pure function of the
-     * (immutable) per-processor histograms and its own cache size, and
-     * points are assembled into the curve in index order afterwards, so
-     * the resulting curve is bit-identical to a serial evaluation —
-     * this is the determinism guarantee the study runner relies on.
-     * core::ThreadPool::parallelFor matches this signature.
-     */
-    std::function<void(std::size_t,
-                       const std::function<void(std::size_t)> &)>
-        parallelFor;
     /**
      * Sampling policy the statistics were collected under. Must match
      * the simulator's SimConfig::sampling mode (checked: a mismatch
@@ -212,7 +189,7 @@ struct CurveSpec
  * carry integer-valued doubles; sampled runs carry 1/rate-scaled
  * estimates. The invariant total() == cold + capacity + trueSharing +
  * falseSharing holds by construction, and in exact mode total() equals
- * ProcStats::readMissesAt(lines, include_cold = true) exactly.
+ * the exact read-miss count at that size, cold misses included.
  */
 struct MissClassPoint
 {
@@ -363,9 +340,9 @@ class Multiprocessor : public trace::MemorySink
      * category is the admitted count scaled by 1/rate (the same
      * SHARDS_adj estimator the rate curves use), so the four categories
      * still sum to the estimated total at every size; in exact mode the
-     * sums are integer-exact. Evaluation is serial — the points share
-     * one aggregation pass — and depends only on the per-processor
-     * histograms, so results are byte-identical at any worker count.
+     * sums are integer-exact. The result depends only on the
+     * per-processor histograms, so it is byte-identical at any worker
+     * count.
      */
     MissClassCurves readMissClassCurves(const CurveSpec &spec) const;
 
@@ -426,18 +403,20 @@ class Multiprocessor : public trace::MemorySink
     /** Throw unless @p spec's sampling mode matches the simulator's. */
     void checkSpecSampling(const CurveSpec &spec) const;
     /**
-     * AET-construction miss counts at @p capacity_lines. The Mattson
-     * kinds read misses off the *merged* distance histogram (threshold
-     * == capacity for every processor), but AET's capacity-to-threshold
-     * transform is per-processor — each profiler models its own
-     * reference stream — so the sum must be taken per processor before
-     * scaling. Pure functions of immutable state, safe to evaluate from
-     * parallel curve points.
+     * Finite-distance misses at every spec size, summed over processors
+     * @p first_pid..@p last_pid (inclusive): each processor's read (or,
+     * with @p writes, write) histogram counted at that processor's
+     * capacityToThreshold(lines). The one miss-count path of every
+     * curve and every profiler construction; for Mattson the sum
+     * equals the merged histogram's count exactly. Raw sampled
+     * units — the curves add the floor and scale.
      */
-    std::uint64_t aetReadMisses(std::uint64_t capacity_lines,
-                                bool include_cold) const;
-    std::uint64_t aetWriteMisses(std::uint64_t capacity_lines,
-                                 bool include_cold) const;
+    std::vector<std::uint64_t> finiteMisses(const CurveSpec &spec,
+                                            bool writes,
+                                            ProcId first_pid,
+                                            ProcId last_pid) const;
+    /** aggregateStats without the histogram merge. */
+    ProcStats aggregateCounters() const;
     /** Estimator denominators (see approx::SampledCounts). */
     double expectedSampledReads() const;
     double expectedSampledWrites() const;

@@ -1,6 +1,7 @@
 #include "stats/histogram.hh"
 
 #include <algorithm>
+#include <numeric>
 
 namespace wsg::stats
 {
@@ -12,6 +13,28 @@ Histogram::countAtLeast(std::uint64_t v) const
     for (std::uint64_t i = v; i < buckets_.size(); ++i)
         total += buckets_[i];
     return total;
+}
+
+std::vector<std::uint64_t>
+Histogram::countsAtLeast(const std::vector<std::uint64_t> &values) const
+{
+    // Visit the values from largest to smallest while a running suffix
+    // sum walks the buckets down once.
+    std::vector<std::size_t> order(values.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) {
+                  return values[a] > values[b];
+              });
+    std::vector<std::uint64_t> out(values.size());
+    std::uint64_t total = infiniteSamples_;
+    std::uint64_t next = buckets_.size();
+    for (std::size_t i : order) {
+        for (; next > values[i]; --next)
+            total += buckets_[next - 1];
+        out[i] = total;
+    }
+    return out;
 }
 
 std::uint64_t

@@ -55,6 +55,15 @@ class Histogram
     /** @return number of samples whose value is >= @p v (incl. infinite). */
     std::uint64_t countAtLeast(std::uint64_t v) const;
 
+    /**
+     * countAtLeast at every value of @p values, in one suffix pass:
+     * out[i] == countAtLeast(values[i]). O(buckets + values) after
+     * ordering the values, where repeated countAtLeast calls cost
+     * O(values x buckets). The values need not be sorted.
+     */
+    std::vector<std::uint64_t>
+    countsAtLeast(const std::vector<std::uint64_t> &values) const;
+
     std::uint64_t totalSamples() const { return totalSamples_; }
     std::uint64_t infiniteSamples() const { return infiniteSamples_; }
 

@@ -510,7 +510,7 @@ TEST(RaceReportDeterminism, ReportsRacyStudyCount)
     // A synthetic job whose stream races must flip the gate.
     core::StudyJob bad;
     bad.name = "injected";
-    bad.body = [](const core::StudyContext &) {
+    bad.body = []() {
         trace::SharedAddressSpace space;
         sim::Multiprocessor mp({2, 8});
         analysis::RaceConfig config;

@@ -89,7 +89,7 @@ goldenStudies()
 StudyResult
 runJob(const JobFactory &make, const StudyConfig &sc)
 {
-    return make(sc).body(StudyContext{});
+    return make(sc).body();
 }
 
 } // namespace
@@ -263,7 +263,7 @@ TEST(ApproxAccuracy, MissClassSplitAtKneesWithinTenPercent)
     exact_sc.minCacheBytes = 1024;
     exact_sc.knee.minKneeFactor = 1.6;
     StudyResult exact =
-        cgStudyJob(presets::simCg2d(), 3, 1, exact_sc).body(StudyContext{});
+        cgStudyJob(presets::simCg2d(), 3, 1, exact_sc).body();
     ASSERT_FALSE(exact.workingSets.empty());
     ASSERT_FALSE(exact.missClasses.empty());
 
@@ -273,7 +273,7 @@ TEST(ApproxAccuracy, MissClassSplitAtKneesWithinTenPercent)
     sampled_sc.sampling = rateConfig(0.1);
     StudyResult sampled =
         cgStudyJob(presets::simCg2d(), 3, 1, sampled_sc)
-            .body(StudyContext{});
+            .body();
     ASSERT_FALSE(sampled.missClasses.empty());
 
     auto point_at = [](const StudyResult &r,
@@ -359,7 +359,7 @@ TEST(ApproxAccuracy, FixedSizeMemoryReductionAtScale)
     exact_sc.minCacheBytes = 1024;
     exact_sc.knee.minKneeFactor = 1.6;
     StudyResult probe = fftStudyJob(cfg, 1, 1, exact_sc)
-                            .body(StudyContext{});
+                            .body();
     StudyConfig sampled_sc = exact_sc;
     sampled_sc.maxCacheBytes = static_cast<std::uint64_t>(
         probe.curve.points().back().x);

@@ -14,6 +14,7 @@
 #include "approx/approx_curve.hh"
 #include "approx/sampled_stack_distance.hh"
 #include "approx/sampling.hh"
+#include "memsys/tree_stack_distance.hh"
 #include "sim/multiprocessor.hh"
 
 using namespace wsg;
@@ -74,7 +75,7 @@ TEST(SampledProfiler, NoneModeIsExactPassthrough)
 {
     // In exact mode the wrapper must reproduce the exact profiler
     // sample for sample — this is what keeps golden curves identical.
-    memsys::StackDistanceProfiler exact;
+    memsys::TreeStackDistanceProfiler exact;
     SampledStackDistanceProfiler wrapped; // default config: None
     std::mt19937_64 rng(17);
     for (int i = 0; i < 50000; ++i) {
@@ -158,7 +159,7 @@ TEST(SampledProfiler, FixedSizeRespectsBudgetAndLowersRate)
     EXPECT_NEAR(estimated, static_cast<double>(footprint),
                 0.15 * static_cast<double>(footprint));
     // Memory stays bounded by the budget, far below the exact cost.
-    memsys::StackDistanceProfiler exact;
+    memsys::TreeStackDistanceProfiler exact;
     for (Addr line = 0; line < footprint; ++line)
         exact.access(line);
     EXPECT_LT(prof.memoryBytes(), exact.memoryBytes() / 10);
@@ -189,7 +190,7 @@ TEST(SampledProfiler, FixedSizeEvictedLinesComeBackCold)
 
 TEST(StackDistance, EvictForgetsUnlikeInvalidate)
 {
-    memsys::StackDistanceProfiler prof;
+    memsys::TreeStackDistanceProfiler prof;
     prof.access(1);
     prof.access(2);
     prof.access(3);

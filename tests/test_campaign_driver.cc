@@ -45,7 +45,7 @@ syntheticJob(const std::string &name, const core::StudyConfig &)
     core::StudyJob job;
     job.name = name;
     job.canonicalConfig = "wsg-test-config-v1\nname=" + name + "\n";
-    job.body = [name](const core::StudyContext &) -> core::StudyResult {
+    job.body = [name]() -> core::StudyResult {
         if (name.rfind("boom", 0) == 0)
             throw std::runtime_error("synthetic failure");
         return core::StudyResult{};

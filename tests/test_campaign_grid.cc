@@ -90,6 +90,11 @@ TEST(CampaignGrid, RejectsMalformedSpecs)
         parseGridSpec(
             R"({"schema":"wsg-campaign-grid-v1","profilers":["x"]})"),
         CampaignError);
+    // The removed list-Mattson construction is an unknown kind.
+    EXPECT_THROW(
+        parseGridSpec(
+            R"({"schema":"wsg-campaign-grid-v1","profilers":["list"]})"),
+        CampaignError);
 }
 
 TEST(CampaignGrid, SamplingPointSpellings)

@@ -154,7 +154,7 @@ TEST(StudyRunner, ParallelIsByteIdenticalToSerialAt248Workers)
     // Serial baseline through the plain run* path (no runner at all).
     std::vector<StudyResult> baseline;
     for (const StudyJob &job : jobs)
-        baseline.push_back(job.body(StudyContext{}));
+        baseline.push_back(job.body());
 
     for (unsigned workers : {2u, 4u, 8u}) {
         RunnerConfig config;
@@ -230,7 +230,7 @@ TEST(StudyRunner, ThrowingJobIsIsolated)
     std::vector<StudyJob> jobs = smallBatch();
     StudyJob bomb;
     bomb.name = "bomb";
-    bomb.body = [](const StudyContext &) -> StudyResult {
+    bomb.body = []() -> StudyResult {
         throw std::runtime_error("boom");
     };
     jobs.insert(jobs.begin() + 1, bomb);
@@ -294,4 +294,10 @@ TEST(StudyRunner, CliRejectsMalformedFlagsWithCleanError)
                 testing::ExitedWithCode(2), "non-negative integer");
     EXPECT_EXIT(parse({"prog", "--json"}),
                 testing::ExitedWithCode(2), "--json needs a value");
+    // The removed list-Mattson construction is an unknown kind.
+    for (const char *kind : {"list-mattson", "list"})
+        EXPECT_EXIT(parse({"prog", "--profiler", kind}),
+                    testing::ExitedWithCode(2),
+                    "error: --profiler: unknown profiler kind .*"
+                    "expected tree-mattson or aet");
 }

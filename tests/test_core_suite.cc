@@ -3,7 +3,8 @@
  * Tests for the shared figure-suite factory (core/suite): the stable
  * preset names, lookup semantics, and the canonical-config invariants
  * the serving cache depends on (distinct hashes per preset, stable
- * bytes across calls, wall-clock knobs excluded from the key).
+ * bytes across calls, wall-clock knobs excluded from the key), and the
+ * pinned report digests of the sampled and AET constructions.
  */
 
 #include <set>
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/study_runner.hh"
 #include "core/suite.hh"
 #include "stats/hash.hh"
 
@@ -88,4 +90,48 @@ TEST(FigureSuite, SamplingChangesTheKeyTimeoutDoesNot)
     // the watchdog budget never does, so it must not.
     EXPECT_NE(a.canonicalConfig, b.canonicalConfig);
     EXPECT_EQ(a.canonicalConfig, c.canonicalConfig);
+}
+
+/**
+ * The report bytes of the sampled and AET constructions, pinned as
+ * FNV-1a digests of their wsg-study-report JSON. bench/pipeline's
+ * digests.txt pins exact tree-Mattson and AET replay only; these pins
+ * gate the scaling arithmetic of fixed-rate and fixed-size sampling
+ * and the per-processor AET thresholds on two small-tier studies.
+ */
+TEST(FigureSuite, SampledAndAetReportDigestsArePinned)
+{
+    StudyConfig rate;
+    rate.sampling.mode = approx::SamplingMode::FixedRate;
+    rate.sampling.rate = 0.1;
+    StudyConfig size;
+    size.sampling.mode = approx::SamplingMode::FixedSize;
+    size.sampling.maxLines = 2048;
+    StudyConfig aet;
+    aet.profiler = memsys::ProfilerKind::Aet;
+
+    struct Pin
+    {
+        const char *preset;
+        const StudyConfig *config;
+        const char *label;
+        const char *digest;
+    };
+    const Pin pins[] = {
+        {"fig4-cg-2d@size=small", &rate, "rate 0.1", "c1a612865bf541d4"},
+        {"fig4-cg-2d@size=small", &size, "size 2048", "e65ad5d4b54b727d"},
+        {"fig4-cg-2d@size=small", &aet, "aet", "7df083255d48050d"},
+        {"fig5-fft-radix8@size=small", &rate, "rate 0.1",
+         "96863bd5ba948de2"},
+        {"fig5-fft-radix8@size=small", &size, "size 2048",
+         "02fc034b14b0c6d4"},
+        {"fig5-fft-radix8@size=small", &aet, "aet", "d0622e52cae9c344"},
+    };
+    for (const Pin &pin : pins) {
+        JobReport report =
+            runJobInline(figureSuiteJob(pin.preset, *pin.config));
+        ASSERT_TRUE(report.ok) << pin.preset << ": " << report.error;
+        EXPECT_EQ(stats::fnv1a64Hex(jsonReport({report})), pin.digest)
+            << pin.preset << " under " << pin.label;
+    }
 }

@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "memsys/fully_assoc_lru.hh"
-#include "memsys/stack_distance.hh"
+#include "memsys/tree_stack_distance.hh"
 
 using namespace wsg::memsys;
 
@@ -85,7 +85,7 @@ TEST_P(LruStackEquivalence, MissIffDistanceAtLeastCapacity)
     std::uniform_int_distribution<Addr> addr(0, 96);
 
     FullyAssocLru cache(capacity);
-    StackDistanceProfiler prof;
+    TreeStackDistanceProfiler prof;
 
     for (int i = 0; i < 20000; ++i) {
         Addr a = addr(rng);
@@ -120,7 +120,7 @@ TEST(LruStackBound, InvalidationsMakePredictionOptimistic)
     constexpr std::uint64_t capacity = 16;
 
     FullyAssocLru cache(capacity);
-    StackDistanceProfiler prof;
+    TreeStackDistanceProfiler prof;
     std::uint64_t concrete = 0, predicted = 0, total = 0;
 
     for (int i = 0; i < 50000; ++i) {

@@ -1,17 +1,16 @@
 /**
  * @file
- * The tentpole's correctness gate for the profiler bake-off: the
- * tree-Mattson profiler must be BYTE-IDENTICAL to the legacy
- * list-Mattson profiler — every sample classification, every distance,
- * every derived curve — on synthetic reference streams (random, looped,
- * invalidation-heavy, eviction-heavy, and a renumbering-triggering long
- * stream) and on all nine application studies at 1, 2, 4 and 8 runner
- * workers. Also the batched-ingestion property: accessBatch must equal
+ * The exact profiler's correctness gate: tree-Mattson must agree with
+ * the explicit-stack oracle (tests/naive_stack_profiler.hh) on every
+ * sample classification and every distance, on synthetic reference
+ * streams (random, looped, invalidation-heavy, eviction-heavy, and a
+ * renumbering-triggering long stream), and the nine application
+ * studies must serialize identically at 1, 2, 4 and 8 runner workers.
+ * Also the batched-ingestion property: accessBatch must equal
  * one-at-a-time ingestion for every construction at any batch size, and
  * BatchingSink must forward a sink stream unchanged.
  */
 
-#include <cstring>
 #include <memory>
 #include <random>
 #include <string>
@@ -23,8 +22,8 @@
 #include "core/runners.hh"
 #include "core/study_runner.hh"
 #include "memsys/profiler.hh"
-#include "memsys/stack_distance.hh"
 #include "memsys/tree_stack_distance.hh"
+#include "naive_stack_profiler.hh"
 #include "trace/sinks.hh"
 
 using namespace wsg;
@@ -103,74 +102,11 @@ expectLockstepIdentical(const std::vector<Op> &ops,
 }
 
 void
-expectTreeMatchesListOn(const std::vector<Op> &ops)
+expectTreeMatchesNaiveOn(const std::vector<Op> &ops)
 {
-    memsys::StackDistanceProfiler list;
+    test::NaiveStackProfiler naive;
     memsys::TreeStackDistanceProfiler tree;
-    expectLockstepIdentical(ops, list, tree);
-}
-
-void
-expectCurvesByteIdentical(const stats::Curve &a, const stats::Curve &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(std::memcmp(&a[i].x, &b[i].x, sizeof(double)), 0)
-            << "x differs at point " << i;
-        ASSERT_EQ(std::memcmp(&a[i].y, &b[i].y, sizeof(double)), 0)
-            << "y differs at point " << i;
-    }
-}
-
-void
-expectHistogramsEqual(const stats::Histogram &a,
-                      const stats::Histogram &b)
-{
-    ASSERT_EQ(a.totalSamples(), b.totalSamples());
-    ASSERT_EQ(a.infiniteSamples(), b.infiniteSamples());
-    ASSERT_EQ(a.maxValue(), b.maxValue());
-    for (std::uint64_t v = 0; v <= a.maxValue(); ++v)
-        ASSERT_EQ(a.count(v), b.count(v)) << "bucket " << v;
-}
-
-void
-expectResultsIdentical(const StudyResult &a, const StudyResult &b)
-{
-    expectCurvesByteIdentical(a.curve, b.curve);
-    ASSERT_EQ(a.workingSets.size(), b.workingSets.size());
-    for (std::size_t k = 0; k < a.workingSets.size(); ++k) {
-        ASSERT_EQ(std::memcmp(&a.workingSets[k].sizeBytes,
-                              &b.workingSets[k].sizeBytes,
-                              sizeof(double)), 0);
-        ASSERT_EQ(std::memcmp(&a.workingSets[k].missRateAfter,
-                              &b.workingSets[k].missRateAfter,
-                              sizeof(double)), 0);
-    }
-    EXPECT_EQ(a.aggregate.reads, b.aggregate.reads);
-    EXPECT_EQ(a.aggregate.writes, b.aggregate.writes);
-    EXPECT_EQ(a.aggregate.readCold, b.aggregate.readCold);
-    EXPECT_EQ(a.aggregate.readCoherence, b.aggregate.readCoherence);
-    EXPECT_EQ(a.aggregate.writeCold, b.aggregate.writeCold);
-    EXPECT_EQ(a.aggregate.writeCoherence, b.aggregate.writeCoherence);
-    expectHistogramsEqual(a.aggregate.readDistances,
-                          b.aggregate.readDistances);
-    expectHistogramsEqual(a.aggregate.writeDistances,
-                          b.aggregate.writeDistances);
-    EXPECT_EQ(a.maxFootprintBytes, b.maxFootprintBytes);
-    EXPECT_EQ(std::memcmp(&a.floorRate, &b.floorRate, sizeof(double)),
-              0);
-    ASSERT_EQ(a.missClasses.points.size(), b.missClasses.points.size());
-    for (std::size_t i = 0; i < a.missClasses.points.size(); ++i) {
-        const auto &pa = a.missClasses.points[i];
-        const auto &pb = b.missClasses.points[i];
-        ASSERT_EQ(std::memcmp(&pa.cold, &pb.cold, sizeof(double)), 0);
-        ASSERT_EQ(std::memcmp(&pa.capacity, &pb.capacity,
-                              sizeof(double)), 0);
-        ASSERT_EQ(std::memcmp(&pa.trueSharing, &pb.trueSharing,
-                              sizeof(double)), 0);
-        ASSERT_EQ(std::memcmp(&pa.falseSharing, &pb.falseSharing,
-                              sizeof(double)), 0);
-    }
+    expectLockstepIdentical(ops, naive, tree);
 }
 
 /** The nine application studies, sized for the test tier. */
@@ -237,7 +173,7 @@ nineStudies(const StudyConfig &sc)
 TEST(ProfilerDifferential, RandomStream)
 {
     for (std::uint64_t seed : {1u, 2u, 3u})
-        expectTreeMatchesListOn(
+        expectTreeMatchesNaiveOn(
             makeStream(seed, 10000, 700, false, 0, 0));
 }
 
@@ -245,21 +181,21 @@ TEST(ProfilerDifferential, LoopedStream)
 {
     // Uniform loops are the Mattson worst case: every access sits at
     // the same (maximal) depth.
-    expectTreeMatchesListOn(makeStream(4, 10000, 333, true, 0, 0));
-    expectTreeMatchesListOn(makeStream(5, 10000, 1000, true, 0, 0));
+    expectTreeMatchesNaiveOn(makeStream(4, 10000, 333, true, 0, 0));
+    expectTreeMatchesNaiveOn(makeStream(5, 10000, 1000, true, 0, 0));
 }
 
 TEST(ProfilerDifferential, InvalidationStream)
 {
     for (std::uint64_t seed : {6u, 7u})
-        expectTreeMatchesListOn(
+        expectTreeMatchesNaiveOn(
             makeStream(seed, 10000, 400, false, 25, 0));
 }
 
 TEST(ProfilerDifferential, EvictionStream)
 {
     for (std::uint64_t seed : {8u, 9u})
-        expectTreeMatchesListOn(
+        expectTreeMatchesNaiveOn(
             makeStream(seed, 10000, 400, false, 0, 25));
 }
 
@@ -278,12 +214,12 @@ TEST(ProfilerDifferential, MixedStreamCrossesRenumbering)
     };
     constexpr std::size_t kChunk = 25000;
     auto ops = makeStream(10, 12 * kChunk, 900, false, 5, 5);
-    memsys::StackDistanceProfiler list;
+    test::NaiveStackProfiler naive;
     memsys::TreeStackDistanceProfiler tree;
     for (std::size_t c = 0; c < 12; ++c) {
         std::vector<Op> chunk(ops.begin() + c * kChunk,
                               ops.begin() + (c + 1) * kChunk);
-        expectLockstepIdentical(chunk, list, tree);
+        expectLockstepIdentical(chunk, naive, tree);
         EXPECT_EQ(tree.memoryBytes() - sizeof(tree), kModelBytes[c])
             << "after " << (c + 1) * kChunk << " operations";
     }
@@ -291,42 +227,51 @@ TEST(ProfilerDifferential, MixedStreamCrossesRenumbering)
 
 TEST(ProfilerDifferential, NaiveOracleAgreesWithBoth)
 {
-    // The O(n)-per-access explicit-stack oracle closes the loop: list
-    // and tree agreeing is not enough if both shared a bug.
+    // Both ingestion paths of the tree profiler against the oracle:
+    // one access() per reference, and accessBatch() over each run of
+    // accesses between invalidations and evictions.
     auto ops = makeStream(11, 2000, 150, false, 10, 10);
-    memsys::StackDistanceProfiler list;
-    memsys::TreeStackDistanceProfiler tree;
-    memsys::NaiveStackProfiler naive;
-    for (const Op &op : ops) {
-        switch (op.kind) {
-          case Op::Access: {
-            DistanceSample sl = list.access(op.line);
-            DistanceSample st = tree.access(op.line);
-            DistanceSample sn = naive.access(op.line);
-            ASSERT_EQ(sn.kind, sl.kind);
-            ASSERT_EQ(sn.kind, st.kind);
-            if (sn.kind == RefClass::Finite) {
-                ASSERT_EQ(sn.distance, sl.distance);
-                ASSERT_EQ(sn.distance, st.distance);
+    memsys::TreeStackDistanceProfiler single;
+    memsys::TreeStackDistanceProfiler batched;
+    test::NaiveStackProfiler naive;
+    std::vector<Addr> run;
+    std::vector<DistanceSample> expect;
+    auto flush = [&] {
+        std::vector<DistanceSample> got(run.size());
+        batched.accessBatch(run.data(), run.size(), got.data());
+        for (std::size_t i = 0; i < run.size(); ++i) {
+            ASSERT_EQ(got[i].kind, expect[i].kind);
+            if (got[i].kind == RefClass::Finite) {
+                ASSERT_EQ(got[i].distance, expect[i].distance);
             }
-            break;
-          }
-          case Op::Invalidate: {
-            bool rn = naive.invalidate(op.line);
-            ASSERT_EQ(rn, list.invalidate(op.line));
-            ASSERT_EQ(rn, tree.invalidate(op.line));
-            break;
-          }
-          case Op::Evict: {
-            bool rn = naive.evict(op.line);
-            ASSERT_EQ(rn, list.evict(op.line));
-            ASSERT_EQ(rn, tree.evict(op.line));
-            break;
-          }
         }
-        ASSERT_EQ(naive.liveLines(), list.liveLines());
-        ASSERT_EQ(naive.liveLines(), tree.liveLines());
+        run.clear();
+        expect.clear();
+    };
+    for (const Op &op : ops) {
+        if (op.kind == Op::Access) {
+            DistanceSample sn = naive.access(op.line);
+            DistanceSample ss = single.access(op.line);
+            ASSERT_EQ(ss.kind, sn.kind);
+            if (sn.kind == RefClass::Finite) {
+                ASSERT_EQ(ss.distance, sn.distance);
+            }
+            run.push_back(op.line);
+            expect.push_back(sn);
+            continue;
+        }
+        flush();
+        bool invalidate = op.kind == Op::Invalidate;
+        bool rn = invalidate ? naive.invalidate(op.line)
+                             : naive.evict(op.line);
+        ASSERT_EQ(rn, invalidate ? single.invalidate(op.line)
+                                 : single.evict(op.line));
+        ASSERT_EQ(rn, invalidate ? batched.invalidate(op.line)
+                                 : batched.evict(op.line));
+        ASSERT_EQ(naive.liveLines(), single.liveLines());
+        ASSERT_EQ(naive.liveLines(), batched.liveLines());
     }
+    flush();
 }
 
 /**
@@ -334,21 +279,17 @@ TEST(ProfilerDifferential, NaiveOracleAgreesWithBoth)
  * from the profiler (spatial-sampling eviction, not coherence) must
  * leave the remaining stack intact — the next touch of the evicted
  * line is Cold, and every other line's distance counts only the lines
- * still live, identically in all exact profilers.
+ * still live, identically in the tree profiler and the oracle.
  */
 TEST(ProfilerDifferential, EvictThenRetouchKeepsDistancesAligned)
 {
-    memsys::StackDistanceProfiler list;
     memsys::TreeStackDistanceProfiler tree;
-    memsys::NaiveStackProfiler naive;
+    test::NaiveStackProfiler naive;
 
     auto step = [&](Addr line) -> DistanceSample {
-        DistanceSample sl = list.access(line);
         DistanceSample st = tree.access(line);
         DistanceSample sn = naive.access(line);
-        EXPECT_EQ(sl.kind, sn.kind);
         EXPECT_EQ(st.kind, sn.kind);
-        EXPECT_EQ(sl.distance, sn.distance);
         EXPECT_EQ(st.distance, sn.distance);
         return sn;
     };
@@ -357,7 +298,6 @@ TEST(ProfilerDifferential, EvictThenRetouchKeepsDistancesAligned)
     step(2); // stack: 2 1
     step(3); // stack: 3 2 1
 
-    EXPECT_TRUE(list.evict(2));
     EXPECT_TRUE(tree.evict(2));
     EXPECT_TRUE(naive.evict(2));
 
@@ -388,9 +328,7 @@ TEST(ProfilerBatching, BatchEqualsSingleForEveryConstruction)
     for (const Op &op : ops)
         lines.push_back(op.line);
 
-    for (ProfilerKind kind :
-         {ProfilerKind::ListMattson, ProfilerKind::TreeMattson,
-          ProfilerKind::Aet}) {
+    for (ProfilerKind kind : {ProfilerKind::TreeMattson, ProfilerKind::Aet}) {
         auto single = approx::makeProfiler(kind);
         std::vector<DistanceSample> expect;
         expect.reserve(lines.size());
@@ -465,42 +403,7 @@ TEST(ProfilerBatching, BatchingSinkPreservesTheStream)
 }
 
 /**
- * The acceptance gate: tree-Mattson must be byte-identical to the
- * legacy list-Mattson on all nine application studies.
- */
-TEST(ProfilerDifferential, NineAppStudiesTreeEqualsList)
-{
-    StudyConfig sc_tree;
-    sc_tree.profiler = ProfilerKind::TreeMattson;
-    StudyConfig sc_list;
-    sc_list.profiler = ProfilerKind::ListMattson;
-
-    std::vector<StudyJob> tree_jobs = nineStudies(sc_tree);
-    std::vector<StudyJob> list_jobs = nineStudies(sc_list);
-
-    RunnerConfig rc;
-    rc.jobs = 4;
-    StudyRunner runner(rc);
-    auto tree_reports = runner.run(tree_jobs);
-    auto list_reports = runner.run(list_jobs);
-
-    ASSERT_EQ(tree_reports.size(), 9u);
-    ASSERT_EQ(list_reports.size(), 9u);
-    for (std::size_t i = 0; i < 9; ++i) {
-        ASSERT_TRUE(tree_reports[i].ok) << tree_reports[i].error;
-        ASSERT_TRUE(list_reports[i].ok) << list_reports[i].error;
-        SCOPED_TRACE(tree_reports[i].name);
-        expectResultsIdentical(tree_reports[i].result,
-                               list_reports[i].result);
-        EXPECT_EQ(tree_reports[i].result.sampling.profiler,
-                  ProfilerKind::TreeMattson);
-        EXPECT_EQ(list_reports[i].result.sampling.profiler,
-                  ProfilerKind::ListMattson);
-    }
-}
-
-/**
- * Worker-count determinism for the new default profiler: the nine-study
+ * Worker-count determinism for the default profiler: the nine-study
  * JSON artifact must serialize to the same bytes at 1, 2, 4 and 8
  * workers.
  */

@@ -1,19 +1,22 @@
 /**
  * @file
- * Unit and property tests for the Fenwick-tree stack-distance profiler.
+ * Unit and property tests for the exact stack-distance profiler
+ * (tree-Mattson), checked against the explicit-stack oracle.
  */
 
 #include <random>
 
 #include <gtest/gtest.h>
 
-#include "memsys/stack_distance.hh"
+#include "memsys/tree_stack_distance.hh"
+#include "naive_stack_profiler.hh"
 
 using namespace wsg::memsys;
+using wsg::test::NaiveStackProfiler;
 
 TEST(StackDistance, FirstAccessIsCold)
 {
-    StackDistanceProfiler prof;
+    TreeStackDistanceProfiler prof;
     DistanceSample s = prof.access(42);
     EXPECT_EQ(s.kind, RefClass::Cold);
     EXPECT_EQ(prof.liveLines(), 1u);
@@ -22,7 +25,7 @@ TEST(StackDistance, FirstAccessIsCold)
 
 TEST(StackDistance, ImmediateReuseHasDistanceZero)
 {
-    StackDistanceProfiler prof;
+    TreeStackDistanceProfiler prof;
     prof.access(1);
     DistanceSample s = prof.access(1);
     EXPECT_EQ(s.kind, RefClass::Finite);
@@ -31,7 +34,7 @@ TEST(StackDistance, ImmediateReuseHasDistanceZero)
 
 TEST(StackDistance, DistanceCountsDistinctInterveningLines)
 {
-    StackDistanceProfiler prof;
+    TreeStackDistanceProfiler prof;
     prof.access(1);
     prof.access(2);
     prof.access(3);
@@ -43,7 +46,7 @@ TEST(StackDistance, DistanceCountsDistinctInterveningLines)
 
 TEST(StackDistance, InvalidationMakesNextAccessCoherence)
 {
-    StackDistanceProfiler prof;
+    TreeStackDistanceProfiler prof;
     prof.access(5);
     EXPECT_TRUE(prof.invalidate(5));
     EXPECT_EQ(prof.liveLines(), 0u);
@@ -55,7 +58,7 @@ TEST(StackDistance, InvalidationMakesNextAccessCoherence)
 
 TEST(StackDistance, InvalidateUnknownOrTombstonedLine)
 {
-    StackDistanceProfiler prof;
+    TreeStackDistanceProfiler prof;
     EXPECT_FALSE(prof.invalidate(9));
     prof.access(9);
     EXPECT_TRUE(prof.invalidate(9));
@@ -64,7 +67,7 @@ TEST(StackDistance, InvalidateUnknownOrTombstonedLine)
 
 TEST(StackDistance, InvalidatedLinesLeaveTheStack)
 {
-    StackDistanceProfiler prof;
+    TreeStackDistanceProfiler prof;
     prof.access(1);
     prof.access(2);
     prof.access(3);
@@ -76,7 +79,7 @@ TEST(StackDistance, InvalidatedLinesLeaveTheStack)
 
 TEST(StackDistance, ClearForgetsHistory)
 {
-    StackDistanceProfiler prof;
+    TreeStackDistanceProfiler prof;
     prof.access(1);
     prof.clear();
     EXPECT_EQ(prof.access(1).kind, RefClass::Cold);
@@ -85,9 +88,10 @@ TEST(StackDistance, ClearForgetsHistory)
 
 TEST(StackDistance, CompactionPreservesBehaviour)
 {
-    // Drive well past the initial 2^16 slots to force compactions and
-    // verify distances stay correct against the naive model.
-    StackDistanceProfiler fast;
+    // Drive the stamp span well past the 2^16 renumbering floor to
+    // force renumberings (the tree's compaction) and verify distances
+    // stay correct against the naive model.
+    TreeStackDistanceProfiler fast;
     NaiveStackProfiler slow;
     std::mt19937_64 rng(11);
     std::uniform_int_distribution<Addr> addr(0, 63);
@@ -104,7 +108,7 @@ TEST(StackDistance, CompactionPreservesBehaviour)
 }
 
 /**
- * Property: the Fenwick profiler agrees with the naive O(n) stack on
+ * Property: the tree profiler agrees with the naive O(n) stack on
  * random traces mixing accesses and invalidations.
  */
 class StackDistanceRandom : public ::testing::TestWithParam<unsigned>
@@ -114,7 +118,7 @@ TEST_P(StackDistanceRandom, MatchesNaiveReference)
 {
     std::mt19937_64 rng(GetParam());
     std::uniform_int_distribution<Addr> addr(0, 255);
-    StackDistanceProfiler fast;
+    TreeStackDistanceProfiler fast;
     NaiveStackProfiler slow;
 
     for (int i = 0; i < 30000; ++i) {
@@ -141,12 +145,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StackDistanceRandom,
 
 /**
  * Property: on long random traces whose *interleaved invalidations*
- * create tombstones that survive timestamp compaction, the Fenwick
+ * create tombstones that survive timestamp renumbering, the tree
  * profiler still agrees with the naive stack on the Cold / Coherence /
  * Finite classification of EVERY reference, on every distance, and on
  * the live-line count. The trace length (160k references per seed) is
- * well past the 2^16 initial slot capacity, so each run crosses
- * multiple compactions *with tombstones present* — the case the plain
+ * well past the 2^16 renumbering floor, so each run crosses multiple
+ * renumberings *with tombstones present* — the case the plain
  * CompactionPreservesBehaviour test (no invalidations) never reaches.
  */
 class StackDistanceCompaction : public ::testing::TestWithParam<unsigned>
@@ -154,10 +158,10 @@ class StackDistanceCompaction : public ::testing::TestWithParam<unsigned>
 
 TEST_P(StackDistanceCompaction, InvalidationsSurviveCompaction)
 {
-    constexpr int kRefs = 160000; // > 2 compactions at 2^16 slots
+    constexpr int kRefs = 160000; // > 2 renumberings at a 2^16 span
     std::mt19937_64 rng(GetParam());
     std::uniform_int_distribution<Addr> addr(0, 319);
-    StackDistanceProfiler fast;
+    TreeStackDistanceProfiler fast;
     NaiveStackProfiler slow;
 
     int seen_cold = 0, seen_coherence = 0, seen_finite = 0;
@@ -206,7 +210,7 @@ TEST(StackDistance, SequentialScanDistances)
     // Scanning K distinct lines repeatedly: after warm-up, every access
     // has distance K-1.
     constexpr Addr K = 100;
-    StackDistanceProfiler prof;
+    TreeStackDistanceProfiler prof;
     for (Addr a = 0; a < K; ++a)
         prof.access(a);
     for (int rep = 0; rep < 3; ++rep) {

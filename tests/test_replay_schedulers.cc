@@ -17,6 +17,7 @@
 #include "core/runners.hh"
 #include "core/study_runner.hh"
 #include "core/suite.hh"
+#include "mattson_misses.hh"
 #include "replay/scheduled_sink.hh"
 #include "replay/scheduler.hh"
 #include "replay/splitmix.hh"
@@ -457,8 +458,8 @@ TEST(ReplayStudies, RoundRobinPreservesStreamIdentities)
         std::uint64_t lines = std::max<std::uint64_t>(
             1, y.missClasses.cacheSizesBytes[i] / kLineBytes);
         EXPECT_EQ(y.missClasses.points[i].total(),
-                  static_cast<double>(y.aggregate.readMissesAt(
-                      lines, /*include_cold=*/true)))
+                  static_cast<double>(test::mattsonReadMisses(
+                      y.aggregate, lines, /*include_cold=*/true)))
             << "at cache size " << y.missClasses.cacheSizesBytes[i];
     }
     // Migration converts locality into coherence traffic; it must

@@ -41,7 +41,7 @@ syntheticJob(const std::string &name, const core::StudyConfig &)
     core::StudyJob job;
     job.name = name;
     job.canonicalConfig = "wsg-test-config-v1\nname=" + name + "\n";
-    job.body = [](const core::StudyContext &) {
+    job.body = []() {
         return core::StudyResult{};
     };
     return job;

@@ -42,7 +42,7 @@ syntheticJob(const std::string &name, const core::StudyConfig &)
     core::StudyJob job;
     job.name = name;
     job.canonicalConfig = "wsg-test-config-v1\nname=tiny\n";
-    job.body = [](const core::StudyContext &) {
+    job.body = []() {
         return core::StudyResult{};
     };
     return job;
@@ -94,6 +94,11 @@ TEST(ServeProtocol, MalformedRequestsThrow)
         parseRequest("{\"op\":\"study\",\"preset\":\"x\","
                      "\"sample_rate\":\"fast\"}"),
         ProtocolError);
+    // The removed list-Mattson construction is an unknown kind.
+    EXPECT_THROW(parseRequest("{\"op\":\"study\",\"preset\":\"x\","
+                              "\"profiler\":\"list-mattson\"}")
+                     .studyConfig(),
+                 ProtocolError);
 }
 
 TEST(ServeProtocol, RequestConfigRejectsConflictingSampling)

@@ -77,7 +77,7 @@ struct SyntheticFactory
         auto gate = this->gate;
         auto runs = this->bodyRuns;
         job.body = [name, gate,
-                    runs](const core::StudyContext &) -> core::StudyResult {
+                    runs]() -> core::StudyResult {
             runs->fetch_add(1);
             if (name == "slow")
                 gate->wait();

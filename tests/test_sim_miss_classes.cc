@@ -19,6 +19,7 @@
 
 #include "core/presets.hh"
 #include "core/runners.hh"
+#include "mattson_misses.hh"
 #include "sim/multiprocessor.hh"
 #include "trace/address_space.hh"
 #include "trace/traced_array.hh"
@@ -228,7 +229,7 @@ TEST(MissClasses, BreakdownSumsToTotalMissesAtEverySize)
     for (std::size_t i = 0; i < mc.points.size(); ++i) {
         std::uint64_t lines = spec.cacheSizesBytes[i] / 32;
         auto total = static_cast<double>(
-            agg.readMissesAt(lines, /*include_cold=*/true));
+            test::mattsonReadMisses(agg, lines, /*include_cold=*/true));
         // Exact mode: integer-valued doubles, so equality is exact.
         EXPECT_EQ(mc.points[i].total(), total)
             << "at cache size " << spec.cacheSizesBytes[i];
@@ -317,8 +318,8 @@ TEST(MissClassesStudies, InvariantsHoldOnEveryApplication)
                 std::max<std::uint64_t>(1, r.missClasses.cacheSizesBytes[i] /
                                                s.lineBytes);
             EXPECT_EQ(r.missClasses.points[i].total(),
-                      static_cast<double>(agg.readMissesAt(
-                          lines, /*include_cold=*/true)))
+                      static_cast<double>(test::mattsonReadMisses(
+                          agg, lines, /*include_cold=*/true)))
                 << "at cache size " << r.missClasses.cacheSizesBytes[i];
         }
 
@@ -620,8 +621,10 @@ TEST(MissClassesMatrix, SumIdentityUnderEveryProtocolHierarchyAndSampling)
                         std::uint64_t lines =
                             spec.cacheSizesBytes[i] / 32;
                         EXPECT_EQ(have,
-                                  static_cast<double>(agg.readMissesAt(
-                                      lines, /*include_cold=*/true)))
+                                  static_cast<double>(
+                                      test::mattsonReadMisses(
+                                          agg, lines,
+                                          /*include_cold=*/true)))
                             << "at size "
                             << spec.cacheSizesBytes[i];
                     }

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mattson_misses.hh"
 #include "memsys/fully_assoc_lru.hh"
 #include "memsys/set_assoc.hh"
 #include "sim/multiprocessor.hh"
@@ -230,7 +231,8 @@ TEST_P(ConcreteCacheCrossCheck, FullyAssocMatchesStackPrediction)
 
     ProcStats agg = mp.aggregateStats();
     std::uint64_t predicted =
-        agg.readMissesAt(capacity_lines, /*include_cold=*/true);
+        wsg::test::mattsonReadMisses(agg, capacity_lines,
+                                     /*include_cold=*/true);
     EXPECT_EQ(agg.concreteReadMisses, predicted);
     EXPECT_GT(mp.concreteReadMissRate(), 0.0);
 }
@@ -258,7 +260,8 @@ TEST(ConcreteCacheWithWrites, StackPredictionIsTightLowerBound)
 
     ProcStats agg = mp.aggregateStats();
     std::uint64_t predicted =
-        agg.readMissesAt(capacity_lines, /*include_cold=*/true);
+        wsg::test::mattsonReadMisses(agg, capacity_lines,
+                                     /*include_cold=*/true);
     EXPECT_LE(predicted, agg.concreteReadMisses);
     EXPECT_LT(static_cast<double>(agg.concreteReadMisses - predicted),
               0.02 * static_cast<double>(agg.reads));
@@ -303,8 +306,8 @@ TEST(Multiprocessor, WriteMissesAtMirrorsReadAccounting)
     EXPECT_EQ(agg.writeCold, 1u);
     EXPECT_EQ(agg.writeCoherence, 1u);
     // With a 1-line cache everything finite at distance 0 still hits.
-    EXPECT_EQ(agg.writeMissesAt(1, true), 2u);
-    EXPECT_EQ(agg.writeMissesAt(1, false), 1u);
+    EXPECT_EQ(wsg::test::mattsonWriteMisses(agg, 1, true), 2u);
+    EXPECT_EQ(wsg::test::mattsonWriteMisses(agg, 1, false), 1u);
 }
 
 TEST(Multiprocessor, TrafficCurveCountsFillsAndWritebacks)

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "core/runners.hh"
+#include "mattson_misses.hh"
 #include "sim/coherence.hh"
 #include "sim/multiprocessor.hh"
 
@@ -312,8 +313,8 @@ TEST(Protocols, SumIdentityHoldsUnderEveryProtocol)
         for (std::size_t i = 0; i < mc.points.size(); ++i) {
             std::uint64_t lines = spec.cacheSizesBytes[i] / 32;
             EXPECT_EQ(mc.points[i].total(),
-                      static_cast<double>(agg.readMissesAt(
-                          lines, /*include_cold=*/true)))
+                      static_cast<double>(test::mattsonReadMisses(
+                          agg, lines, /*include_cold=*/true)))
                 << "at cache size " << spec.cacheSizesBytes[i];
         }
     }

@@ -3,7 +3,9 @@
  * Unit tests for stats::Histogram.
  */
 
+#include <algorithm>
 #include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -69,7 +71,10 @@ TEST(Histogram, ClearResets)
     EXPECT_EQ(h.countAtLeast(0), 0u);
 }
 
-/** Property: countAtLeast agrees with a brute-force recount. */
+/**
+ * Property: countAtLeast agrees with a brute-force recount, and
+ * countsAtLeast agrees with countAtLeast at every value.
+ */
 class HistogramRandom : public ::testing::TestWithParam<unsigned>
 {};
 
@@ -99,6 +104,29 @@ TEST_P(HistogramRandom, CountAtLeastMatchesBruteForce)
         }
         EXPECT_EQ(h.countAtLeast(q), expect) << "threshold " << q;
     }
+
+    // countsAtLeast answers every value in [0, max + 2] in one pass,
+    // shuffled and with repeats, exactly as countAtLeast does one at a
+    // time; so it must on an empty and an infinite-only histogram too.
+    Histogram empty;
+    Histogram infinite_only;
+    for (std::uint64_t i = 0; i < infinite; ++i)
+        infinite_only.addInfiniteSample();
+    for (const Histogram *hist : {&h, &empty, &infinite_only}) {
+        std::vector<std::uint64_t> values;
+        for (std::uint64_t v = 0; v <= hist->maxValue() + 2; ++v)
+            values.push_back(v);
+        values.push_back(0);
+        values.push_back(hist->maxValue() + 1);
+        std::shuffle(values.begin(), values.end(), rng);
+        std::vector<std::uint64_t> counts = hist->countsAtLeast(values);
+        ASSERT_EQ(counts.size(), values.size());
+        for (std::size_t i = 0; i < values.size(); ++i) {
+            EXPECT_EQ(counts[i], hist->countAtLeast(values[i]))
+                << "value " << values[i];
+        }
+    }
+    EXPECT_TRUE(h.countsAtLeast({}).empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HistogramRandom,

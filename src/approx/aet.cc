@@ -8,28 +8,21 @@ AetProfiler::accessOne(memsys::Addr line)
 {
     ++now_;
     memsys::DistanceSample sample;
-    auto it = last_.find(line);
-    if (it == last_.end()) {
-        sample.kind = memsys::RefClass::Cold;
+    std::int64_t &stamp = last_.findOrInsert(line);
+    if (stamp == 0 || stamp == kInvalidated) {
+        sample.kind = stamp == 0 ? memsys::RefClass::Cold
+                                 : memsys::RefClass::Coherence;
         ++infinite_;
-        last_.emplace(line, static_cast<std::int64_t>(now_));
-        if (++live_ > peakLive_)
-            peakLive_ = live_;
-    } else if (it->second == kInvalidated) {
-        sample.kind = memsys::RefClass::Coherence;
-        ++infinite_;
-        it->second = static_cast<std::int64_t>(now_);
         if (++live_ > peakLive_)
             peakLive_ = live_;
     } else {
         sample.kind = memsys::RefClass::Finite;
-        std::uint64_t t =
-            now_ - static_cast<std::uint64_t>(it->second);
+        std::uint64_t t = now_ - static_cast<std::uint64_t>(stamp);
         sample.distance = codeFor(t);
         ++finite_[sample.distance];
         ++finiteTotal_;
-        it->second = static_cast<std::int64_t>(now_);
     }
+    stamp = static_cast<std::int64_t>(now_);
     return sample;
 }
 
@@ -50,10 +43,10 @@ AetProfiler::accessBatch(const memsys::Addr *lines, std::size_t n,
 bool
 AetProfiler::invalidate(memsys::Addr line)
 {
-    auto it = last_.find(line);
-    if (it == last_.end() || it->second == kInvalidated)
+    std::int64_t *stamp = last_.find(line);
+    if (!stamp || *stamp == kInvalidated)
         return false;
-    it->second = kInvalidated;
+    *stamp = kInvalidated;
     --live_;
     return true;
 }
@@ -61,12 +54,11 @@ AetProfiler::invalidate(memsys::Addr line)
 bool
 AetProfiler::evict(memsys::Addr line)
 {
-    auto it = last_.find(line);
-    if (it == last_.end())
+    std::int64_t stamp = last_.erase(line);
+    if (stamp == 0)
         return false;
-    if (it->second != kInvalidated)
+    if (stamp != kInvalidated)
         --live_;
-    last_.erase(it);
     return true;
 }
 
@@ -137,6 +129,8 @@ AetProfiler::clear()
 std::uint64_t
 AetProfiler::memoryBytes() const
 {
+    // The same modelled 48 B node per touched line as tree-Mattson
+    // (DESIGN.md §5), whatever the flat LineMap really holds.
     constexpr std::uint64_t kMapNodeBytes = 48;
     return static_cast<std::uint64_t>(last_.size()) * kMapNodeBytes +
            static_cast<std::uint64_t>(finite_.capacity()) *

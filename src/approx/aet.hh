@@ -4,12 +4,13 @@
  *
  * Where the Mattson profilers pay O(log n) per reference to measure the
  * *stack distance* (distinct lines since last touch), AET records only
- * the *reuse time* (total references since last touch) — one hash-map
- * probe, O(1), no stack structure at all. The miss-rate curve is then
- * recovered from the reuse-time distribution by the AET model (Hu et
- * al., ATC'16): in an LRU cache of C lines, a line sinks one stack
- * position whenever a reference arrives whose reuse time exceeds the
- * line's current age, so the expected eviction age t*(C) solves
+ * the *reuse time* (total references since last touch) — one probe of
+ * the flat line map (memsys::LineMap), O(1), no stack structure at
+ * all. The miss-rate curve is then recovered from the reuse-time
+ * distribution by the AET model (Hu et al., ATC'16): in an LRU cache
+ * of C lines, a line sinks one stack position whenever a reference
+ * arrives whose reuse time exceeds the line's current age, so the
+ * expected eviction age t*(C) solves
  *
  *     integral_0^t* P(t) dt = C,    P(t) = Pr[reuse time > t]
  *
@@ -48,9 +49,9 @@
 
 #include <bit>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "memsys/line_map.hh"
 #include "memsys/profiler.hh"
 
 namespace wsg::approx
@@ -117,7 +118,7 @@ class AetProfiler : public memsys::Profiler
     bool
     tracks(memsys::Addr line) const override
     {
-        return last_.count(line) != 0;
+        return last_.find(line) != nullptr;
     }
 
     std::uint64_t liveLines() const override { return live_; }
@@ -149,7 +150,7 @@ class AetProfiler : public memsys::Profiler
     memsys::DistanceSample accessOne(memsys::Addr line);
 
     /** addr -> timestamp of latest access, or kInvalidated tombstone. */
-    std::unordered_map<memsys::Addr, std::int64_t> last_;
+    memsys::LineMap last_;
     /** finite_[c]: ingested references with finite reuse code c. */
     std::vector<std::uint64_t> finite_;
     /** Ingested references with infinite reuse (Cold + Coherence). */

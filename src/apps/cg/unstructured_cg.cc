@@ -30,6 +30,107 @@ morton2d(std::uint32_t x, std::uint32_t y)
 
 } // namespace
 
+std::vector<std::uint32_t>
+nearestNeighbors(const std::vector<double> &px, const std::vector<double> &py,
+                 std::uint32_t k)
+{
+    auto n = static_cast<std::uint32_t>(px.size());
+    k = std::min(k, n);
+    std::vector<std::uint32_t> out(std::size_t{n} * k);
+    if (k == 0)
+        return out;
+
+    // Square cells over the bounding square, about two points each.
+    auto [min_x, max_x] = std::minmax_element(px.begin(), px.end());
+    auto [min_y, max_y] = std::minmax_element(py.begin(), py.end());
+    double lo_x = *min_x;
+    double lo_y = *min_y;
+    double span = std::max(*max_x - lo_x, *max_y - lo_y);
+    std::uint32_t side = std::max<std::uint32_t>(
+        1, static_cast<std::uint32_t>(std::sqrt(n / 2.0)));
+    if (!(span > 0.0))
+        side = 1;
+    double cell = span / side;
+    double scale = side / span;
+    auto cellOf = [&](double v, double lo) {
+        if (side == 1)
+            return std::uint32_t{0};
+        return std::min(side - 1,
+                        static_cast<std::uint32_t>((v - lo) * scale));
+    };
+
+    // Counting sort of the points by cell.
+    std::vector<std::uint32_t> home(n);
+    std::vector<std::uint32_t> start(std::size_t{side} * side + 1, 0);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        home[i] = cellOf(py[i], lo_y) * side + cellOf(px[i], lo_x);
+        ++start[home[i] + 1];
+    }
+    for (std::size_t c = 0; c + 1 < start.size(); ++c)
+        start[c + 1] += start[c];
+    std::vector<std::uint32_t> members(n);
+    {
+        std::vector<std::uint32_t> fill(start.begin(), start.end() - 1);
+        for (std::uint32_t i = 0; i < n; ++i)
+            members[fill[home[i]]++] = i;
+    }
+
+    // Max-heap of the k best (distance², index) pairs seen so far.
+    using Candidate = std::pair<double, std::uint32_t>;
+    std::vector<Candidate> best;
+    best.reserve(k);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        best.clear();
+        auto offer = [&](std::uint32_t c) {
+            for (std::uint32_t m = start[c]; m < start[c + 1]; ++m) {
+                std::uint32_t j = members[m];
+                double dx = px[i] - px[j];
+                double dy = py[i] - py[j];
+                Candidate cand{dx * dx + dy * dy, j};
+                if (best.size() < k) {
+                    best.push_back(cand);
+                    std::push_heap(best.begin(), best.end());
+                } else if (cand < best.front()) {
+                    std::pop_heap(best.begin(), best.end());
+                    best.back() = cand;
+                    std::push_heap(best.begin(), best.end());
+                }
+            }
+        };
+        auto cx = static_cast<std::int64_t>(home[i] % side);
+        auto cy = static_cast<std::int64_t>(home[i] / side);
+        std::int64_t last = static_cast<std::int64_t>(side) - 1;
+        std::int64_t rings =
+            std::max({cx, last - cx, cy, last - cy});
+        for (std::int64_t r = 0; r <= rings; ++r) {
+            // Ring r: the cells at Chebyshev distance r from home.
+            for (std::int64_t y = std::max<std::int64_t>(0, cy - r);
+                 y <= std::min(last, cy + r); ++y) {
+                bool edge_row = y == cy - r || y == cy + r;
+                std::int64_t step = edge_row || r == 0 ? 1 : 2 * r;
+                for (std::int64_t x = cx - r; x <= cx + r; x += step) {
+                    if (x >= 0 && x <= last)
+                        offer(static_cast<std::uint32_t>(y * side + x));
+                }
+            }
+            // Every unvisited cell is r + 1 or more cells away, so its
+            // points lie at least r cell widths from point i. Rounding
+            // can misplace a point lying within an ulp of a cell
+            // border, so only r - 1 widths are relied on. Stop once the
+            // k-th candidate is strictly closer than that: at a tie an
+            // unvisited point with a lower index would still win.
+            double reach = static_cast<double>(r - 1) * cell;
+            if (best.size() == k && r >= 1 &&
+                best.front().first < reach * reach)
+                break;
+        }
+        std::sort_heap(best.begin(), best.end());
+        for (std::uint32_t s = 0; s < k; ++s)
+            out[std::size_t{i} * k + s] = best[s].second;
+    }
+    return out;
+}
+
 UnstructuredCg::UnstructuredCg(const UnstructuredConfig &config,
                                trace::SharedAddressSpace &space,
                                trace::MemorySink *sink)
@@ -69,20 +170,14 @@ UnstructuredCg::buildMesh()
         py_[i] = uni(rng);
     }
 
-    // Symmetrized k-nearest-neighbour adjacency (brute force; setup is
-    // host-side and not traced).
+    // Symmetrized k-nearest-neighbour adjacency (setup is host-side
+    // and not traced).
     std::vector<std::vector<std::uint32_t>> adj(n);
-    std::vector<std::pair<double, std::uint32_t>> dist(n);
+    std::uint32_t k = std::min(cfg_.neighbors + 1, n);
+    std::vector<std::uint32_t> nearest = nearestNeighbors(px_, py_, k);
     for (std::uint32_t i = 0; i < n; ++i) {
-        for (std::uint32_t j = 0; j < n; ++j) {
-            double dx = px_[i] - px_[j];
-            double dy = py_[i] - py_[j];
-            dist[j] = {dx * dx + dy * dy, j};
-        }
-        std::uint32_t k = std::min(cfg_.neighbors + 1, n);
-        std::partial_sort(dist.begin(), dist.begin() + k, dist.end());
         for (std::uint32_t s = 0; s < k; ++s) {
-            std::uint32_t j = dist[s].second;
+            std::uint32_t j = nearest[std::size_t{i} * k + s];
             if (j == i)
                 continue;
             adj[i].push_back(j);

@@ -60,6 +60,19 @@ struct UnstructuredResult
     bool converged = false;
 };
 
+/**
+ * The @p k nearest of the points (px[i], py[i]) to each of them, the
+ * point itself included (k is clamped to the point count). Row i of the
+ * result — entries [i * k, (i + 1) * k) — holds the k smallest indices
+ * j by (squared distance, j), ascending: exactly the first k entries of
+ * a partial_sort of every (distance², j) pair. Found by searching rings
+ * of a uniform grid of about two points per cell, so uniform points
+ * cost O(k log k) each instead of O(n).
+ */
+std::vector<std::uint32_t> nearestNeighbors(const std::vector<double> &px,
+                                            const std::vector<double> &py,
+                                            std::uint32_t k);
+
 /** Traced parallel CG on the k-NN mesh. */
 class UnstructuredCg
 {

@@ -24,14 +24,17 @@
  * stamps, so every reported distance is unaffected.
  * test_memsys_profiler_differential checks every distance against an
  * explicit O(n) LRU stack, across renumbering points.
+ *
+ * Each line's latest stamp (or invalidation tombstone) lives in a
+ * LineMap, a flat group-hashed table probed once per reference; the
+ * renumbering walk visits it in slot order.
  */
 
 #ifndef WSG_MEMSYS_TREE_STACK_DISTANCE_HH
 #define WSG_MEMSYS_TREE_STACK_DISTANCE_HH
 
 #include <cstdint>
-#include <unordered_map>
-
+#include "memsys/line_map.hh"
 #include "memsys/order_stat_set.hh"
 #include "memsys/profiler.hh"
 
@@ -56,7 +59,7 @@ class TreeStackDistanceProfiler : public Profiler
     bool
     tracks(Addr line) const override
     {
-        return last_.count(line) != 0;
+        return last_.find(line) != nullptr;
     }
 
     std::uint64_t liveLines() const override { return live_.size(); }
@@ -87,7 +90,7 @@ class TreeStackDistanceProfiler : public Profiler
     void renumber();
 
     /** addr -> timestamp of latest access, or kInvalidated tombstone. */
-    std::unordered_map<Addr, std::int64_t> last_;
+    LineMap last_;
     /** Timestamps of live (non-tombstoned) lines. */
     OrderStatSet live_;
     /** Last timestamp handed out; strictly increasing between

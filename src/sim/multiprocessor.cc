@@ -342,12 +342,19 @@ Multiprocessor::arraySlot(Addr byte_addr)
 {
     if (!space_ || !measuring_)
         return nullptr;
-    std::ptrdiff_t idx = space_->findSegmentIndex(byte_addr);
-    if (idx < 0)
-        return &unmappedStats_;
-    if (static_cast<std::size_t>(idx) >= arrayStats_.size())
-        arrayStats_.resize(space_->segments().size());
-    return &arrayStats_[static_cast<std::size_t>(idx)];
+    if (byte_addr - lastSegmentBase_ >= lastSegmentBytes_) {
+        std::ptrdiff_t idx = space_->findSegmentIndex(byte_addr);
+        if (idx < 0)
+            return &unmappedStats_;
+        const trace::Segment &seg =
+            space_->segments()[static_cast<std::size_t>(idx)];
+        lastSegment_ = static_cast<std::size_t>(idx);
+        lastSegmentBase_ = seg.base;
+        lastSegmentBytes_ = seg.bytes;
+        if (lastSegment_ >= arrayStats_.size())
+            arrayStats_.resize(space_->segments().size());
+    }
+    return &arrayStats_[lastSegment_];
 }
 
 namespace

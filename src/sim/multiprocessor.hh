@@ -288,6 +288,7 @@ class Multiprocessor : public trace::MemorySink
     attachAddressSpace(const trace::SharedAddressSpace *space)
     {
         space_ = space;
+        lastSegmentBytes_ = 0;
     }
 
     const SimConfig &config() const { return config_; }
@@ -552,6 +553,13 @@ class Multiprocessor : public trace::MemorySink
     std::vector<SharingSummary> arrayStats_;
     /** Measured references outside every segment. */
     SharingSummary unmappedStats_;
+    /** The segment arraySlot() last matched — index and [base, base +
+     *  bytes) — checked before the segment search. Only hits are
+     *  cached: segments never move, but an address outside every
+     *  segment now may fall in one allocated later. Bytes 0 = none. */
+    std::size_t lastSegment_ = 0;
+    Addr lastSegmentBase_ = 0;
+    std::uint64_t lastSegmentBytes_ = 0;
 };
 
 /**

@@ -4,7 +4,12 @@
  * irregular problems.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -33,7 +38,107 @@ ucfg(std::uint32_t n = 512,
     return cfg;
 }
 
+/** The k nearest by (distance², index), by brute force over all pairs:
+ *  the mesh build's selection before the grid search replaced it. */
+std::vector<std::uint32_t>
+bruteForceNearest(const std::vector<double> &px,
+                  const std::vector<double> &py, std::uint32_t k)
+{
+    auto n = static_cast<std::uint32_t>(px.size());
+    k = std::min(k, n);
+    std::vector<std::uint32_t> out;
+    std::vector<std::pair<double, std::uint32_t>> dist(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        for (std::uint32_t j = 0; j < n; ++j) {
+            double dx = px[i] - px[j];
+            double dy = py[i] - py[j];
+            dist[j] = {dx * dx + dy * dy, j};
+        }
+        std::partial_sort(dist.begin(), dist.begin() + k, dist.end());
+        for (std::uint32_t s = 0; s < k; ++s)
+            out.push_back(dist[s].second);
+    }
+    return out;
+}
+
+/** @p n uniform points in the unit square, drawn like the mesh's. */
+std::pair<std::vector<double>, std::vector<double>>
+uniformPoints(std::uint32_t n, std::uint64_t seed)
+{
+    std::mt19937_64 rng(seed);
+    std::uniform_real_distribution<double> uni(0.0, 1.0);
+    std::vector<double> px(n), py(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        px[i] = uni(rng);
+        py[i] = uni(rng);
+    }
+    return {px, py};
+}
+
 } // namespace
+
+TEST(NearestNeighbors, GridSearchMatchesBruteForce)
+{
+    for (std::uint32_t neighbors : {1u, 6u, 12u}) {
+        std::uint32_t k = neighbors + 1;
+        for (std::uint32_t n : {2u, 3u, k, k + 1, 2048u}) {
+            for (std::uint64_t seed : {1u, 7u, 99u}) {
+                auto [px, py] = uniformPoints(n, seed);
+                EXPECT_EQ(nearestNeighbors(px, py, k),
+                          bruteForceNearest(px, py, k))
+                    << "n=" << n << " k=" << k << " seed=" << seed;
+            }
+        }
+    }
+}
+
+TEST(NearestNeighbors, TiesBreakByIndexOnALattice)
+{
+    // A 32 x 32 lattice of exactly representable coordinates: many
+    // candidates sit at exactly the k-th distance, on cell borders.
+    std::vector<double> px, py;
+    for (int y = 0; y < 32; ++y) {
+        for (int x = 0; x < 32; ++x) {
+            px.push_back(x / 32.0);
+            py.push_back(y / 32.0);
+        }
+    }
+    for (std::uint32_t k : {2u, 5u, 7u, 13u})
+        EXPECT_EQ(nearestNeighbors(px, py, k), bruteForceNearest(px, py, k))
+            << "k=" << k;
+}
+
+TEST(NearestNeighbors, EveryPointInOneCell)
+{
+    // Identical points: the bounding square is empty, so there is one
+    // cell and every tie breaks by index.
+    std::vector<double> same_x(40, 0.25), same_y(40, 0.75);
+    EXPECT_EQ(nearestNeighbors(same_x, same_y, 7),
+              bruteForceNearest(same_x, same_y, 7));
+
+    // A tight cluster plus two far corners: the cluster shares one
+    // cell, so the search must walk out across empty rings.
+    auto [px, py] = uniformPoints(500, 5);
+    for (std::size_t i = 0; i < px.size(); ++i) {
+        px[i] = 0.5 + px[i] * 1e-4;
+        py[i] = 0.5 + py[i] * 1e-4;
+    }
+    px.push_back(0.0);
+    py.push_back(0.0);
+    px.push_back(1.0);
+    py.push_back(1.0);
+    for (std::uint32_t k : {2u, 7u, 13u})
+        EXPECT_EQ(nearestNeighbors(px, py, k), bruteForceNearest(px, py, k))
+            << "k=" << k;
+}
+
+TEST(NearestNeighbors, KIsClampedToThePointCount)
+{
+    auto [px, py] = uniformPoints(3, 11);
+    std::vector<std::uint32_t> got = nearestNeighbors(px, py, 10);
+    EXPECT_EQ(got.size(), 9u);
+    EXPECT_EQ(got, bruteForceNearest(px, py, 3));
+}
 
 TEST(UnstructuredCg, ConfigValidation)
 {

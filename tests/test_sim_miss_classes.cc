@@ -425,6 +425,53 @@ TEST(MissClassAttribution, UnmappedReferencesGetTheirOwnBucket)
     EXPECT_EQ(arrays[1].reads, 1u);
 }
 
+TEST(MissClassAttribution, SegmentCacheMatchesAPerReferenceSearch)
+{
+    // References interleave two segments and the alignment padding
+    // between and after them; a third segment is allocated partway
+    // through over addresses already referenced while unmapped. The
+    // simulator's last-segment cache must attribute exactly as a fresh
+    // findSegmentIndex per reference does.
+    trace::SharedAddressSpace space(64);
+    Multiprocessor mp({2, 8});
+    mp.attachAddressSpace(&space);
+    trace::Addr a = space.allocate("alpha", 100); // padded to 128
+    trace::Addr b = space.allocate("beta", 40);   // padded to 64
+    trace::Addr span_end = b + 64 + 256;         // future "gamma" too
+
+    std::vector<std::uint64_t> reads(4, 0), writes(4, 0);
+    auto bucket = [&](trace::Addr addr) {
+        std::ptrdiff_t idx = space.findSegmentIndex(addr);
+        return idx < 0 ? std::size_t{3} : static_cast<std::size_t>(idx);
+    };
+    std::mt19937_64 rng(77);
+    for (int step = 0; step < 4000; ++step) {
+        if (step == 1500)
+            space.allocate("gamma", 200);
+        trace::Addr addr = a + rng() % (span_end - a);
+        auto pid = static_cast<ProcId>(rng() % 2);
+        std::size_t slot = bucket(addr);
+        if (rng() % 3 == 0) {
+            mp.write(pid, addr, 1);
+            ++writes[slot];
+        } else {
+            mp.read(pid, addr, 1);
+            ++reads[slot];
+        }
+    }
+
+    std::vector<SharingSummary> arrays = mp.arraySummaries();
+    ASSERT_EQ(arrays.size(), 4u);
+    EXPECT_EQ(arrays[2].name, "gamma");
+    EXPECT_EQ(arrays[3].name, "(unmapped)");
+    for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(arrays[i].reads, reads[i]) << arrays[i].name;
+        EXPECT_EQ(arrays[i].writes, writes[i]) << arrays[i].name;
+    }
+    EXPECT_GT(reads[2], 0u);
+    EXPECT_GT(reads[3], 0u);
+}
+
 TEST(MissClassAttribution, NoAttachedSpaceMeansNoSummaries)
 {
     Multiprocessor mp({1, 8});

@@ -9,6 +9,8 @@
 
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -265,4 +267,74 @@ TEST(CampaignGrid, MachineAxisTyposAreRejected)
         "schema": "wsg-campaign-grid-v1",
         "hierarchies": ["incl:65536:4096"]})"),
                  CampaignError);
+}
+
+TEST(CampaignGrid, FiveAxisSweepPinsNamesAndHashes)
+{
+    // One grid over all five study axes, spelled with aliases where
+    // they exist: the entry names, content hashes, grid hash,
+    // infeasible count and two wire requests are pinned literally.
+    Grid grid = expandGrid(parseGridSpec(R"({
+        "schema": "wsg-campaign-grid-v1",
+        "presets": ["fig5-fft-radix8"],
+        "sizes": ["small"],
+        "profilers": ["tree", "aet"],
+        "sampling": ["exact", "size:2048"],
+        "protocols": ["wi", "mesi"],
+        "hierarchies": ["single", "incl:4096:65536"],
+        "schedulers": ["static", "steal:r0.25:s1"]})"));
+    const std::string p = "fig5-fft-radix8@size=small";
+    const std::string h = "@hier=incl:4096:65536";
+    const std::string s = "@sched=steal:r0.25:s1";
+    const std::string m = "@proto=mesi";
+    const std::string z = "@samp=size:2048";
+    const std::string a = "@prof=aet";
+    const std::vector<std::pair<std::string, std::string>> want = {
+        {p, "1903079a3b1dfc9f"},
+        {p + s, "6344522b841eac19"},
+        {p + h, "e12525cb11c13779"},
+        {p + h + s, "f3f0ae6a0ed415bb"},
+        {p + m, "6a21ffc65e2b12a6"},
+        {p + m + s, "696cff37d956a5fa"},
+        {p + m + h, "e99d92e712d8b35c"},
+        {p + m + h + s, "7a6fab5068f595a0"},
+        {p + z, "cb566002290641c4"},
+        {p + z + s, "7225b7e856d51e08"},
+        {p + z + h, "60b56dcd7615670a"},
+        {p + z + h + s, "ba556153ce66a34e"},
+        {p + z + m, "7cd60e6c43807195"},
+        {p + z + m + s, "937e7f91f925cf37"},
+        {p + z + m + h, "73522fa72a6ea457"},
+        {p + z + m + h + s, "e8e5602051429431"},
+        {p + a, "ab46afbe50b8f212"},
+        {p + a + s, "3689d3a017e7d2f6"},
+        {p + a + h, "7f516e46f2c6a3c8"},
+        {p + a + h + s, "457c6beb96c19bcc"},
+        {p + a + m, "426256ff08d2e257"},
+        {p + a + m + s, "7713baccdcde0e31"},
+        {p + a + m + h, "77c073ecb4b3adb1"},
+        {p + a + m + h + s, "1278f37ea154ae13"},
+    };
+    ASSERT_EQ(grid.entries.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(grid.entries[i].name, want[i].first) << "entry " << i;
+        EXPECT_EQ(grid.entries[i].configHash, want[i].second)
+            << grid.entries[i].name;
+    }
+    EXPECT_EQ(grid.gridHash, "bb51dde30f9345bf");
+    EXPECT_EQ(grid.skippedInfeasible, 8u);
+    EXPECT_EQ(grid.filteredOut, 0u);
+
+    EXPECT_EQ(serve::encodeRequest(grid.entries[15].request),
+              R"({"op":"study","preset":"fig5-fft-radix8@size=small",)"
+              R"("sample_size":2048,"protocol":"mesi",)"
+              R"("hierarchy":"incl:4096:65536",)"
+              R"("scheduler":"steal:r0.25:s1"})"
+              "\n");
+    EXPECT_EQ(serve::encodeRequest(grid.entries[23].request),
+              R"({"op":"study","preset":"fig5-fft-radix8@size=small",)"
+              R"("profiler":"aet","protocol":"mesi",)"
+              R"("hierarchy":"incl:4096:65536",)"
+              R"("scheduler":"steal:r0.25:s1"})"
+              "\n");
 }

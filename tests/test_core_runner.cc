@@ -7,8 +7,11 @@
  */
 
 #include <cstring>
+#include <functional>
 #include <mutex>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -300,4 +303,255 @@ TEST(StudyRunner, CliRejectsMalformedFlagsWithCleanError)
                     testing::ExitedWithCode(2),
                     "error: --profiler: unknown profiler kind .*"
                     "expected tree-mattson or aet");
+}
+
+namespace
+{
+
+/**
+ * The StudyConfig a parsed RunnerCli describes, read through either
+ * shape of RunnerCli: one that carries a whole core::StudyConfig
+ * (`study`), or one that carries the axis fields one by one. The
+ * characterization tests below go through this so they pin the same
+ * flag semantics across both shapes.
+ */
+template <typename Cli>
+StudyConfig
+cliStudy(const Cli &cli)
+{
+    if constexpr (requires { cli.study; }) {
+        return cli.study;
+    } else {
+        StudyConfig sc;
+        sc.sampling = cli.sampling;
+        sc.profiler = cli.profiler;
+        sc.analyzeRaces = cli.analyzeRaces;
+        sc.timeoutSeconds = cli.timeoutSeconds;
+        sc.protocol = cli.protocol;
+        sc.hierarchy = cli.hierarchy;
+        sc.scheduler = cli.scheduler;
+        return sc;
+    }
+}
+
+/** parseRunnerCli over "prog" + @p args; all of them must be consumed. */
+StudyConfig
+parseStudyFlags(const std::vector<std::string> &args)
+{
+    std::vector<std::string> storage{"prog"};
+    storage.insert(storage.end(), args.begin(), args.end());
+    std::vector<char *> argv;
+    for (std::string &s : storage)
+        argv.push_back(s.data());
+    int argc = static_cast<int>(argv.size());
+    RunnerCli cli = parseRunnerCli(argc, argv.data());
+    EXPECT_EQ(argc, 1) << "every axis flag must be consumed";
+    return cliStudy(cli);
+}
+
+void
+expectSameStudyAxes(const StudyConfig &got, const StudyConfig &want,
+                    const std::string &what)
+{
+    SCOPED_TRACE(what);
+    EXPECT_EQ(got.sampling.mode, want.sampling.mode);
+    EXPECT_EQ(got.sampling.rate, want.sampling.rate);
+    EXPECT_EQ(got.sampling.maxLines, want.sampling.maxLines);
+    EXPECT_EQ(got.sampling.hashSalt, want.sampling.hashSalt);
+    EXPECT_EQ(got.profiler, want.profiler);
+    EXPECT_EQ(got.protocol, want.protocol);
+    EXPECT_EQ(got.hierarchy.kind, want.hierarchy.kind);
+    EXPECT_EQ(got.hierarchy.l1Bytes, want.hierarchy.l1Bytes);
+    EXPECT_EQ(got.hierarchy.l2Bytes, want.hierarchy.l2Bytes);
+    EXPECT_EQ(got.scheduler.kind, want.scheduler.kind);
+    EXPECT_EQ(got.scheduler.stealRate, want.scheduler.stealRate);
+    EXPECT_EQ(got.scheduler.stealSeed, want.scheduler.stealSeed);
+    EXPECT_EQ(got.analyzeRaces, want.analyzeRaces);
+    EXPECT_EQ(got.timeoutSeconds, want.timeoutSeconds);
+}
+
+} // namespace
+
+TEST(StudyRunner, CliAxisFlagsMapToStudyConfig)
+{
+    struct FlagCase
+    {
+        const char *flag;
+        const char *value;
+        std::function<void(StudyConfig &)> expect;
+    };
+    const std::vector<FlagCase> cases = {
+        {"--profiler", "aet",
+         [](StudyConfig &c) { c.profiler = memsys::ProfilerKind::Aet; }},
+        {"--profiler", "tree", [](StudyConfig &) {}},
+        {"--profiler", "tree-mattson", [](StudyConfig &) {}},
+        {"--sample-rate", "0.25",
+         [](StudyConfig &c) {
+             c.sampling.mode = approx::SamplingMode::FixedRate;
+             c.sampling.rate = 0.25;
+         }},
+        {"--sample-size", "2048",
+         [](StudyConfig &c) {
+             c.sampling.mode = approx::SamplingMode::FixedSize;
+             c.sampling.maxLines = 2048;
+         }},
+        {"--protocol", "mesi",
+         [](StudyConfig &c) { c.protocol = sim::CoherenceProtocol::Mesi; }},
+        {"--protocol", "msi",
+         [](StudyConfig &c) { c.protocol = sim::CoherenceProtocol::Msi; }},
+        {"--protocol", "mi",
+         [](StudyConfig &c) { c.protocol = sim::CoherenceProtocol::Mi; }},
+        {"--protocol", "wu",
+         [](StudyConfig &c) {
+             c.protocol = sim::CoherenceProtocol::WriteUpdate;
+         }},
+        {"--protocol", "wi", [](StudyConfig &) {}},
+        {"--hierarchy", "incl:4096:65536",
+         [](StudyConfig &c) {
+             c.hierarchy.kind = memsys::HierarchyKind::TwoLevelInclusive;
+             c.hierarchy.l1Bytes = 4096;
+             c.hierarchy.l2Bytes = 65536;
+         }},
+        {"--hierarchy", "excl:1024:8192",
+         [](StudyConfig &c) {
+             c.hierarchy.kind = memsys::HierarchyKind::TwoLevelExclusive;
+             c.hierarchy.l1Bytes = 1024;
+             c.hierarchy.l2Bytes = 8192;
+         }},
+        {"--hierarchy", "single", [](StudyConfig &) {}},
+        {"--scheduler", "rr",
+         [](StudyConfig &c) {
+             c.scheduler.kind = replay::SchedulerKind::RoundRobin;
+         }},
+        {"--scheduler", "steal:r0.25:s1",
+         [](StudyConfig &c) {
+             c.scheduler.kind = replay::SchedulerKind::WorkStealing;
+             c.scheduler.stealRate = 0.25;
+             c.scheduler.stealSeed = 1;
+         }},
+        {"--scheduler", "ws",
+         [](StudyConfig &c) {
+             c.scheduler.kind = replay::SchedulerKind::WorkStealing;
+         }},
+        {"--scheduler", "static", [](StudyConfig &) {}},
+        {"--steal-rate", "0.5",
+         [](StudyConfig &c) { c.scheduler.stealRate = 0.5; }},
+        {"--steal-seed", "7",
+         [](StudyConfig &c) { c.scheduler.stealSeed = 7; }},
+        {"--timeout", "30",
+         [](StudyConfig &c) { c.timeoutSeconds = 30.0; }},
+    };
+    for (const FlagCase &fc : cases) {
+        StudyConfig want;
+        fc.expect(want);
+        std::string spelled = std::string(fc.flag) + " " + fc.value;
+        expectSameStudyAxes(parseStudyFlags({fc.flag, fc.value}), want,
+                            spelled);
+        expectSameStudyAxes(
+            parseStudyFlags({std::string(fc.flag) + "=" + fc.value}),
+            want, std::string(fc.flag) + "=" + fc.value);
+    }
+
+    StudyConfig races;
+    races.analyzeRaces = true;
+    expectSameStudyAxes(parseStudyFlags({"--analyze-races"}), races,
+                        "--analyze-races");
+
+    // --steal-rate / --steal-seed override --scheduler in either order.
+    StudyConfig stealing;
+    stealing.scheduler.kind = replay::SchedulerKind::WorkStealing;
+    stealing.scheduler.stealRate = 0.5;
+    stealing.scheduler.stealSeed = 9;
+    expectSameStudyAxes(
+        parseStudyFlags({"--steal-rate", "0.5", "--steal-seed=9",
+                         "--scheduler", "steal"}),
+        stealing, "modifiers before --scheduler");
+    expectSameStudyAxes(
+        parseStudyFlags({"--scheduler=steal:r0.1:s3", "--steal-rate",
+                         "0.5", "--steal-seed", "9"}),
+        stealing, "modifiers after --scheduler");
+
+    // Every axis at once, mixed with the other runner flags.
+    StudyConfig all;
+    all.sampling.mode = approx::SamplingMode::FixedSize;
+    all.sampling.maxLines = 4096;
+    all.protocol = sim::CoherenceProtocol::Msi;
+    all.hierarchy.kind = memsys::HierarchyKind::TwoLevelInclusive;
+    all.hierarchy.l1Bytes = 4096;
+    all.hierarchy.l2Bytes = 65536;
+    all.scheduler.kind = replay::SchedulerKind::RoundRobin;
+    all.analyzeRaces = true;
+    all.timeoutSeconds = 5.0;
+    expectSameStudyAxes(
+        parseStudyFlags({"--jobs", "2", "--sample-size", "4096",
+                         "--protocol=msi", "--hierarchy",
+                         "incl:4096:65536", "--scheduler", "rr",
+                         "--analyze-races", "--timeout=5",
+                         "--profiler", "tree"}),
+        all, "every axis");
+}
+
+TEST(StudyRunner, CliRejectsBadAxisValuesAndCombinations)
+{
+    auto parse = [](std::vector<const char *> raw) {
+        std::vector<char *> argv{const_cast<char *>("prog")};
+        for (const char *a : raw)
+            argv.push_back(const_cast<char *>(a));
+        int argc = static_cast<int>(argv.size());
+        parseRunnerCli(argc, argv.data());
+    };
+    const char *aet = "error: --profiler aet does not compose with "
+                      "sampling";
+    EXPECT_EXIT(parse({"--profiler", "aet", "--sample-rate", "0.1"}),
+                testing::ExitedWithCode(2), aet);
+    EXPECT_EXIT(parse({"--sample-rate", "0.1", "--profiler", "aet"}),
+                testing::ExitedWithCode(2), aet);
+    EXPECT_EXIT(parse({"--profiler=aet", "--sample-size=64"}),
+                testing::ExitedWithCode(2), aet);
+    EXPECT_EXIT(parse({"--sample-size", "64", "--profiler", "aet"}),
+                testing::ExitedWithCode(2), aet);
+
+    const char *both = "error: --sample-rate and --sample-size are "
+                       "mutually exclusive";
+    EXPECT_EXIT(parse({"--sample-rate", "0.1", "--sample-size", "64"}),
+                testing::ExitedWithCode(2), both);
+    EXPECT_EXIT(parse({"--sample-size", "64", "--sample-rate", "0.1"}),
+                testing::ExitedWithCode(2), both);
+
+    EXPECT_EXIT(parse({"--steal-rate", "1.5"}),
+                testing::ExitedWithCode(2),
+                "error: --steal-rate needs a rate in \\[0, 1\\], got "
+                "'1.5'");
+    EXPECT_EXIT(parse({"--steal-seed", "x"}),
+                testing::ExitedWithCode(2),
+                "error: --steal-seed needs a non-negative integer, got "
+                "'x'");
+    EXPECT_EXIT(parse({"--protocol", "moesi"}),
+                testing::ExitedWithCode(2),
+                "error: --protocol: unknown coherence protocol 'moesi'");
+    EXPECT_EXIT(parse({"--hierarchy", "incl:65536:4096"}),
+                testing::ExitedWithCode(2),
+                "error: --hierarchy: hierarchy 'incl:65536:4096': L2 "
+                "must be larger than L1");
+    EXPECT_EXIT(parse({"--hierarchy=incl:4096"}),
+                testing::ExitedWithCode(2),
+                "error: --hierarchy: hierarchy 'incl:4096' needs two "
+                "sizes");
+    EXPECT_EXIT(parse({"--scheduler", "bogus"}),
+                testing::ExitedWithCode(2),
+                "error: --scheduler: unknown scheduler 'bogus'");
+    EXPECT_EXIT(parse({"--sample-rate", "0"}),
+                testing::ExitedWithCode(2),
+                "error: --sample-rate needs a rate in \\(0, 1\\], got "
+                "'0'");
+    EXPECT_EXIT(parse({"--sample-size=0"}), testing::ExitedWithCode(2),
+                "error: --sample-size needs a positive line count, got "
+                "'0'");
+    EXPECT_EXIT(parse({"--timeout", "0"}), testing::ExitedWithCode(2),
+                "error: --timeout needs a positive number of seconds, "
+                "got '0'");
+    EXPECT_EXIT(parse({"--profiler"}), testing::ExitedWithCode(2),
+                "error: --profiler needs a value");
+    EXPECT_EXIT(parse({"--sample-size"}), testing::ExitedWithCode(2),
+                "error: --sample-size needs a value");
 }

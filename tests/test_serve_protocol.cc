@@ -280,3 +280,30 @@ TEST(ServeProtocol, ConnectToMissingSocketThrows)
 {
     EXPECT_THROW(connectUnix(socketPath() + ".absent"), ProtocolError);
 }
+
+TEST(ServeProtocol, EncodedBytesWithEveryAxisOffDefault)
+{
+    // The literal wire bytes of study requests that move every study
+    // axis (and the sweep resolution) off its default: key order,
+    // number formatting and omission rules are all pinned.
+    EXPECT_EQ(
+        encodeRequest(parseRequest(
+            R"({"op":"study","preset":"fig5-fft-radix8@size=small",)"
+            R"("points_per_octave":2,"scheduler":"steal:r0.25:s1",)"
+            R"("hierarchy":"incl:4096:65536","protocol":"mesi",)"
+            R"("profiler":"aet","sample_size":2048})")),
+        R"({"op":"study","preset":"fig5-fft-radix8@size=small",)"
+        R"("sample_size":2048,"profiler":"aet","protocol":"mesi",)"
+        R"("hierarchy":"incl:4096:65536","scheduler":"steal:r0.25:s1",)"
+        R"("points_per_octave":2})"
+        "\n");
+    EXPECT_EQ(
+        encodeRequest(parseRequest(
+            R"({"op":"study","preset":"fig2-lu-B16","protocol":"mi",)"
+            R"("sample_rate":0.125,"hierarchy":"excl:1024:8192",)"
+            R"("scheduler":"round-robin","profiler":"tree-mattson"})")),
+        R"({"op":"study","preset":"fig2-lu-B16","sample_rate":0.125,)"
+        R"("profiler":"tree-mattson","protocol":"mi",)"
+        R"("hierarchy":"excl:1024:8192","scheduler":"round-robin"})"
+        "\n");
+}

@@ -164,7 +164,7 @@ main(int argc, char **argv)
         spec.lineBytes = {16, 64};
     }
     if (!exact)
-        spec.sampling = {campaign::parseSamplingPoint("size:4096")};
+        spec.axes[core::kSamplingAxis] = {"size:4096"};
     campaign::Grid grid = campaign::expandGrid(spec);
 
     bench::banner("campaign orchestration (wsg-campaign)",

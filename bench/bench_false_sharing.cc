@@ -58,16 +58,9 @@ main(int argc, char **argv)
     // One study per (application, line size); the working-set sweep is
     // pinned to a single 16 KB point because the sharing split is
     // size-independent — the app run dominates the cost either way.
-    core::StudyConfig sc;
+    core::StudyConfig sc = cli.study;
     sc.minCacheBytes = 16 * 1024;
     sc.maxCacheBytes = 16 * 1024;
-    sc.sampling = cli.sampling;
-    sc.profiler = cli.profiler;
-    sc.analyzeRaces = cli.analyzeRaces;
-    sc.timeoutSeconds = cli.timeoutSeconds;
-    sc.protocol = cli.protocol;
-    sc.hierarchy = cli.hierarchy;
-    sc.scheduler = cli.scheduler;
 
     std::vector<core::StudyJob> jobs;
     std::vector<std::string> app_of_job;

@@ -64,15 +64,8 @@ main(int argc, char **argv)
     std::cout << "\nSimulation confirmation (n = 256, 4x4 processors):\n";
     std::vector<core::StudyJob> jobs;
     for (std::uint32_t B : {4u, 16u, 64u}) {
-        core::StudyConfig sc;
+        core::StudyConfig sc = cli.study;
         sc.minCacheBytes = 16;
-        sc.sampling = cli.sampling;
-        sc.profiler = cli.profiler;
-        sc.analyzeRaces = cli.analyzeRaces;
-        sc.timeoutSeconds = cli.timeoutSeconds;
-    sc.protocol = cli.protocol;
-    sc.hierarchy = cli.hierarchy;
-    sc.scheduler = cli.scheduler;
         jobs.push_back(core::luStudyJob(core::presets::simLu(B), sc));
         jobs.back().name = "fig2-lu-B" + std::to_string(B);
     }

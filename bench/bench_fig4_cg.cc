@@ -52,15 +52,8 @@ main(int argc, char **argv)
 
     // Simulation confirmation.
     std::cout << "\nSimulation confirmation:\n";
-    core::StudyConfig sc;
+    core::StudyConfig sc = cli.study;
     sc.minCacheBytes = 16;
-    sc.sampling = cli.sampling;
-    sc.profiler = cli.profiler;
-    sc.analyzeRaces = cli.analyzeRaces;
-    sc.timeoutSeconds = cli.timeoutSeconds;
-    sc.protocol = cli.protocol;
-    sc.hierarchy = cli.hierarchy;
-    sc.scheduler = cli.scheduler;
     std::vector<core::StudyJob> jobs = {
         core::cgStudyJob(core::presets::simCg2d(), 3, 1, sc),
         core::cgStudyJob(core::presets::simCg3d(), 3, 1, sc),

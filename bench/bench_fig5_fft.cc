@@ -42,15 +42,8 @@ main(int argc, char **argv)
         curves);
 
     std::cout << "\nSimulation confirmation (N = 2^14, P = 4):\n";
-    core::StudyConfig sc;
+    core::StudyConfig sc = cli.study;
     sc.minCacheBytes = 16;
-    sc.sampling = cli.sampling;
-    sc.profiler = cli.profiler;
-    sc.analyzeRaces = cli.analyzeRaces;
-    sc.timeoutSeconds = cli.timeoutSeconds;
-    sc.protocol = cli.protocol;
-    sc.hierarchy = cli.hierarchy;
-    sc.scheduler = cli.scheduler;
     std::vector<core::StudyJob> jobs;
     for (std::uint32_t r : {2u, 8u, 32u}) {
         jobs.push_back(

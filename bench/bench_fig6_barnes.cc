@@ -33,15 +33,8 @@ main(int argc, char **argv)
                   "theta = 1.0, p = 4, quadrupole moments (simulated)");
     bench::ScopeTimer timer("fig6");
 
-    core::StudyConfig sc;
+    core::StudyConfig sc = cli.study;
     sc.minCacheBytes = 64;
-    sc.sampling = cli.sampling;
-    sc.profiler = cli.profiler;
-    sc.analyzeRaces = cli.analyzeRaces;
-    sc.timeoutSeconds = cli.timeoutSeconds;
-    sc.protocol = cli.protocol;
-    sc.hierarchy = cli.hierarchy;
-    sc.scheduler = cli.scheduler;
     std::vector<core::StudyJob> jobs = {core::barnesStudyJob(
         core::presets::simBarnesFig6(), /*steps=*/2, /*warmup=*/1, sc)};
     jobs[0].name = "fig6-barnes";

@@ -30,15 +30,8 @@ main(int argc, char **argv)
                   "phantom head, p = 4, rotating frames (simulated)");
     bench::ScopeTimer timer("fig7");
 
-    core::StudyConfig sc;
+    core::StudyConfig sc = cli.study;
     sc.minCacheBytes = 64;
-    sc.sampling = cli.sampling;
-    sc.profiler = cli.profiler;
-    sc.analyzeRaces = cli.analyzeRaces;
-    sc.timeoutSeconds = cli.timeoutSeconds;
-    sc.protocol = cli.protocol;
-    sc.hierarchy = cli.hierarchy;
-    sc.scheduler = cli.scheduler;
     std::vector<core::StudyJob> jobs = {core::volrendStudyJob(
         core::presets::simVolrendDims(), core::presets::simVolrendRender(),
         /*frames=*/2, /*warmup=*/1, sc)};

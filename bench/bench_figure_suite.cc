@@ -46,25 +46,6 @@ using namespace wsg;
 namespace
 {
 
-/**
- * The 14 jobs come from the shared core/suite factory — the same one
- * the serving daemon resolves presets through — so this bench's --json
- * artifact is byte-identical to what `wsg-submit <name>` returns.
- */
-std::vector<core::StudyJob>
-figureSuiteJobs(const core::RunnerCli &cli)
-{
-    core::StudyConfig base;
-    base.sampling = cli.sampling;
-    base.profiler = cli.profiler;
-    base.analyzeRaces = cli.analyzeRaces;
-    base.timeoutSeconds = cli.timeoutSeconds;
-    base.protocol = cli.protocol;
-    base.hierarchy = cli.hierarchy;
-    base.scheduler = cli.scheduler;
-    return core::figureSuiteJobs(base);
-}
-
 struct SuiteCli
 {
     bool list = false;
@@ -106,7 +87,11 @@ main(int argc, char **argv)
     core::RunnerCli cli = core::parseRunnerCli(argc, argv);
     SuiteCli suite = parseSuiteCli(argc, argv);
 
-    std::vector<core::StudyJob> jobs = figureSuiteJobs(cli);
+    // The 14 jobs come from the shared core/suite factory — the same
+    // one the serving daemon resolves presets through — so this
+    // bench's --json artifact is byte-identical to what `wsg-submit
+    // <name>` returns.
+    std::vector<core::StudyJob> jobs = core::figureSuiteJobs(cli.study);
     if (!suite.only.empty()) {
         std::vector<core::StudyJob> kept;
         for (core::StudyJob &job : jobs) {
@@ -120,7 +105,8 @@ main(int argc, char **argv)
         }
         if (kept.empty()) {
             std::cerr << "error: no study matches --only; names are:\n";
-            for (const core::StudyJob &job : figureSuiteJobs(cli))
+            for (const core::StudyJob &job :
+                 core::figureSuiteJobs(cli.study))
                 std::cerr << "  " << job.name << "\n";
             std::exit(2);
         }

@@ -277,15 +277,13 @@ main(int argc, char **argv)
     // One study per (line size, schedule); the sweep is pinned to a
     // single 16 KB point exactly like bench_false_sharing — the
     // sharing split is cache-size-independent.
-    core::StudyConfig sc;
+    // The schedule is this bench's own sweep; only --steal-seed
+    // carries over from the scheduler flags.
+    core::StudyConfig sc = cli.study;
     sc.minCacheBytes = 16 * 1024;
     sc.maxCacheBytes = 16 * 1024;
-    sc.sampling = cli.sampling;
-    sc.profiler = cli.profiler;
-    sc.analyzeRaces = cli.analyzeRaces;
-    sc.timeoutSeconds = cli.timeoutSeconds;
-    sc.protocol = cli.protocol;
-    sc.hierarchy = cli.hierarchy;
+    sc.scheduler = {};
+    const std::uint64_t seed = cli.study.scheduler.stealSeed;
 
     apps::cg::CgConfig app = core::presets::simCg2d();
     std::vector<std::uint32_t> lines = {8, 16, 32, 64, 128, 256};
@@ -308,7 +306,7 @@ main(int argc, char **argv)
         for (double rate : rates) {
             config.scheduler.kind = replay::SchedulerKind::WorkStealing;
             config.scheduler.stealRate = rate;
-            config.scheduler.stealSeed = cli.scheduler.stealSeed;
+            config.scheduler.stealSeed = seed;
             jobs.push_back(
                 core::cgStudyJob(app, iters, 1, config, line));
             jobs.back().name =
@@ -333,7 +331,7 @@ main(int argc, char **argv)
     stats::Table tab("false sharing under work stealing (reads+writes, "
                      "CG " +
                      std::to_string(app.n) + "^2, seed " +
-                     std::to_string(cli.scheduler.stealSeed) + ")");
+                     std::to_string(seed) + ")");
     tab.header({"line", "steal rate", "migrations s", "false (static)",
                 "false (steal)", "false excess", "s*B budget",
                 "sharing excess"});

@@ -164,16 +164,16 @@ main(int argc, char **argv)
 {
     std::vector<unsigned> levels;
     serve::Request base;
-    base.sampleSize = 4096;
+    base.axis("sample_size") = "4096";
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--clients" && i + 1 < argc) {
             levels.push_back(
                 static_cast<unsigned>(std::stoul(argv[++i])));
         } else if (arg == "--exact") {
-            base.sampleSize = 0;
+            base.axis("sample_size").clear();
         } else if (arg == "--sample-size" && i + 1 < argc) {
-            base.sampleSize = std::stoull(argv[++i]);
+            base.axis("sample_size") = argv[++i];
         } else {
             std::cerr << "error: unknown argument '" << arg
                       << "' (flags: --clients K, --exact, "

@@ -9,7 +9,7 @@
  * study batch.
  *
  * Usage: galaxy [bodies] [steps] [theta] [--jobs N] [--json PATH]
- *               [--progress]
+ *               [--progress] [runner study flags, e.g. --protocol mesi]
  */
 
 #include <cmath>
@@ -123,7 +123,7 @@ main(int argc, char **argv)
     for (double th : {0.6, 0.8, 1.0}) {
         apps::barnes::BarnesConfig cfg = config;
         cfg.theta = th;
-        core::StudyConfig sc;
+        core::StudyConfig sc = cli.study;
         sc.minCacheBytes = 64;
         jobs.push_back(core::barnesStudyJob(cfg, 2, 1, sc));
         jobs.back().name = "galaxy-theta" + stats::formatRate(th);

@@ -9,7 +9,7 @@
  * batch.
  *
  * Usage: spectral_filter [logN] [procs] [radix] [--jobs N]
- *        [--json PATH] [--progress]
+ *        [--json PATH] [--progress] [runner study flags]
  */
 
 #include <cmath>
@@ -123,7 +123,7 @@ main(int argc, char **argv)
     std::cout << "\nradix comparison (parallel study batch):\n";
     std::vector<core::StudyJob> jobs;
     for (std::uint32_t r : {2u, 8u, 32u}) {
-        core::StudyConfig sc;
+        core::StudyConfig sc = cli.study;
         sc.minCacheBytes = 16;
         apps::fft::FftConfig cfg{logN, procs, r};
         jobs.push_back(core::fftStudyJob(cfg, 1, 1, sc));

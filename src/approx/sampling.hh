@@ -102,6 +102,19 @@ samplingModeName(SamplingMode mode)
 }
 
 /**
+ * Parse a sampling label: "exact", "rate:R" with R in (0, 1], or
+ * "size:N" with N a positive line count of at most 2^64 - 1. Labels
+ * name sampling points in campaign grids and entry names, and the
+ * runner flags and wire keys spell their values through them.
+ * @throws std::invalid_argument on any other text.
+ */
+SamplingConfig parseSamplingLabel(const std::string &label);
+
+/** Canonical label of @p config: "exact", "rate:" + the shortest
+ *  round-trip rate, or "size:" + the line budget. */
+std::string samplingLabel(const SamplingConfig &config);
+
+/**
  * 64-bit finalizing mixer (splitmix64). Line numbers are sequential and
  * low-entropy; the mixer spreads them uniformly over [0, 2^64) so the
  * "hash < rate * 2^64" test samples an unbiased rate-fraction of lines.

@@ -1,14 +1,12 @@
 #include "campaign/grid.hh"
 
+#include <cmath>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
-#include "memsys/hierarchy.hh"
-#include "replay/scheduler.hh"
-#include "sim/coherence.hh"
 #include "stats/hash.hh"
 #include "stats/json_parse.hh"
-#include "stats/json_report.hh"
 
 namespace wsg::campaign
 {
@@ -16,14 +14,12 @@ namespace wsg::campaign
 namespace
 {
 
-/** The known top-level grid keys; anything else is a typo. */
+/** The known top-level grid keys besides the study axes'; anything
+ *  else is a typo. */
 constexpr const char *kGridKeys[] = {
-    "schema",           "presets",  "sizes",
-    "line_bytes",       "points_per_octave",
-    "profilers",        "sampling", "protocols",
-    "hierarchies",      "schedulers",
-    "include",          "exclude",
-    "analyze_races",    "timeout_seconds",
+    "schema",  "presets",       "sizes",          "line_bytes",
+    "points_per_octave",        "include",        "exclude",
+    "analyze_races",            "timeout_seconds",
 };
 
 const stats::JsonValue *
@@ -88,58 +84,6 @@ axisValue(const char *key, const std::string &value, Fn &&parse)
 
 } // namespace
 
-SamplingPoint
-parseSamplingPoint(const std::string &text)
-{
-    SamplingPoint point;
-    if (text == "exact") {
-        point.label = "exact";
-        return point;
-    }
-    auto numberTail = [&text](std::string_view prefix) {
-        return text.substr(prefix.size());
-    };
-    if (text.rfind("rate:", 0) == 0) {
-        std::string tail = numberTail("rate:");
-        std::size_t pos = 0;
-        double rate = 0.0;
-        try {
-            rate = std::stod(tail, &pos);
-        } catch (const std::exception &) {
-            pos = 0;
-        }
-        if (pos != tail.size() || !(rate > 0.0 && rate <= 1.0))
-            throw CampaignError(
-                "sampling 'rate:' needs a rate in (0, 1], got '" +
-                text + "'");
-        point.config.mode = approx::SamplingMode::FixedRate;
-        point.config.rate = rate;
-        point.label = "rate:" + stats::JsonWriter::formatDouble(rate);
-        return point;
-    }
-    if (text.rfind("size:", 0) == 0) {
-        std::string tail = numberTail("size:");
-        std::size_t pos = 0;
-        unsigned long long lines = 0;
-        try {
-            lines = std::stoull(tail, &pos);
-        } catch (const std::exception &) {
-            pos = 0;
-        }
-        if (pos != tail.size() || lines == 0)
-            throw CampaignError(
-                "sampling 'size:' needs a positive line budget, "
-                "got '" +
-                text + "'");
-        point.config.mode = approx::SamplingMode::FixedSize;
-        point.config.maxLines = lines;
-        point.label = "size:" + std::to_string(lines);
-        return point;
-    }
-    throw CampaignError("unknown sampling mode '" + text +
-                        "' (expected exact, rate:R or size:N)");
-}
-
 GridSpec
 parseGridSpec(std::string_view json)
 {
@@ -156,6 +100,8 @@ parseGridSpec(std::string_view json)
         bool known = false;
         for (const char *k : kGridKeys)
             known = known || key == k;
+        for (const core::StudyAxis &axis : core::kStudyAxes)
+            known = known || key == axis.gridKey;
         if (!known)
             throw CampaignError("grid file: unknown key '" + key +
                                 "'");
@@ -189,11 +135,10 @@ parseGridSpec(std::string_view json)
     if (!lines.empty()) {
         spec.lineBytes.clear();
         for (double v : lines) {
-            if (v < 0.0 || v != static_cast<double>(
-                                    static_cast<std::uint32_t>(v)))
+            if (!(v >= 0.0 && v <= 4294967295.0) || v != std::floor(v))
                 throw CampaignError(
-                    "grid field 'line_bytes' must hold non-negative "
-                    "integers");
+                    "grid field 'line_bytes' must hold integers in "
+                    "[0, 2^32 - 1]");
             spec.lineBytes.push_back(static_cast<std::uint32_t>(v));
         }
     }
@@ -211,62 +156,18 @@ parseGridSpec(std::string_view json)
         }
     }
 
-    std::vector<std::string> profilers =
-        stringArray(root, "profilers");
-    if (!profilers.empty()) {
-        spec.profilers.clear();
-        for (const std::string &p : profilers)
-            spec.profilers.push_back(axisValue(
-                "profilers", p, [](const std::string &v) {
-                    return memsys::parseProfilerKind(v);
-                }));
-    }
-
-    std::vector<std::string> sampling = stringArray(root, "sampling");
-    if (!sampling.empty()) {
-        spec.sampling.clear();
-        for (const std::string &s : sampling)
-            spec.sampling.push_back(parseSamplingPoint(s));
-    }
-
-    std::vector<std::string> protocols =
-        stringArray(root, "protocols");
-    if (!protocols.empty()) {
-        spec.protocols.clear();
-        for (const std::string &p : protocols)
-            // Normalize short forms so "wi" and "write-invalidate"
-            // label (and hash) identically.
-            spec.protocols.push_back(axisValue(
-                "protocols", p, [](const std::string &v) {
-                    return std::string(sim::coherenceProtocolName(
-                        sim::parseCoherenceProtocol(v)));
-                }));
-    }
-
-    std::vector<std::string> hierarchies =
-        stringArray(root, "hierarchies");
-    if (!hierarchies.empty()) {
-        spec.hierarchies.clear();
-        for (const std::string &h : hierarchies)
-            spec.hierarchies.push_back(axisValue(
-                "hierarchies", h, [](const std::string &v) {
-                    return memsys::hierarchyLabel(
-                        memsys::parseHierarchySpec(v));
-                }));
-    }
-
-    std::vector<std::string> schedulers =
-        stringArray(root, "schedulers");
-    if (!schedulers.empty()) {
-        spec.schedulers.clear();
-        for (const std::string &s : schedulers)
-            // Normalize aliases so "rr" and "round-robin" label (and
-            // hash) identically, like the protocols axis.
-            spec.schedulers.push_back(axisValue(
-                "schedulers", s, [](const std::string &v) {
-                    return replay::schedulerSpecLabel(
-                        replay::parseSchedulerSpec(v));
-                }));
+    for (std::size_t a = 0; a < core::kStudyAxisCount; ++a) {
+        const core::StudyAxis &axis = core::kStudyAxes[a];
+        spec.axes[a] = stringArray(root, axis.gridKey);
+        // Normalize aliases so "wi" and "write-invalidate" label (and
+        // hash) identically.
+        for (std::string &label : spec.axes[a])
+            label = axisValue(axis.gridKey, label,
+                              [&axis](const std::string &v) {
+                                  core::StudyConfig config;
+                                  axis.parse(config, v);
+                                  return axis.label(config);
+                              });
     }
 
     spec.include = stringArray(root, "include");
@@ -301,25 +202,27 @@ loadGridSpec(const std::string &path)
 namespace
 {
 
-/** One machine-axis point of the sweep
- *  (protocol × hierarchy × scheduler). */
-struct MachinePoint
-{
-    std::string protocol;
-    std::string hierarchy;
-    std::string scheduler;
-};
+using AxisPoint = std::array<std::string, core::kStudyAxisCount>;
 
-/** The protocol × hierarchy × scheduler cross product, sweep order. */
-std::vector<MachinePoint>
-machinePoints(const GridSpec &spec)
+/** The cross product of the study-axis labels in table order, the
+ *  last axis varying fastest. */
+std::vector<AxisPoint>
+axisPoints(const GridSpec &spec)
 {
-    std::vector<MachinePoint> out;
-    for (const std::string &proto : spec.protocols)
-        for (const std::string &hier : spec.hierarchies)
-            for (const std::string &sched : spec.schedulers)
-                out.push_back({proto, hier, sched});
-    return out;
+    std::vector<AxisPoint> points{core::defaultAxisLabels()};
+    for (std::size_t a = 0; a < core::kStudyAxisCount; ++a) {
+        if (spec.axes[a].empty())
+            continue; // the default label, already in every point
+        std::vector<AxisPoint> next;
+        for (const AxisPoint &point : points) {
+            for (const std::string &label : spec.axes[a]) {
+                next.push_back(point);
+                next.back()[a] = label;
+            }
+        }
+        points = std::move(next);
+    }
+    return points;
 }
 
 } // namespace
@@ -329,129 +232,89 @@ expandGrid(const GridSpec &spec)
 {
     std::vector<std::string> presets =
         spec.presets.empty() ? core::figureSuiteNames() : spec.presets;
-    std::vector<MachinePoint> machines = machinePoints(spec);
+    std::vector<AxisPoint> points = axisPoints(spec);
 
     Grid grid;
     std::string hashInput = "wsg-campaign-grid-v1\n";
     for (const std::string &preset : presets) {
-        for (core::ProblemSize size : spec.sizes) {
-            for (std::uint32_t line : spec.lineBytes) {
-                for (int ppo : spec.pointsPerOctave) {
-                    for (memsys::ProfilerKind prof : spec.profilers) {
-                        for (const SamplingPoint &samp :
-                             spec.sampling) {
-                          for (const MachinePoint &mach : machines) {
-                            // AET has no per-line stack state to
-                            // sample from; the combination is
-                            // infeasible, not an error — a grid that
-                            // sweeps both axes simply skips it.
-                            if (prof == memsys::ProfilerKind::Aet &&
-                                samp.config.enabled()) {
-                                ++grid.skippedInfeasible;
-                                continue;
-                            }
-
-                            CampaignEntry entry;
-                            entry.preset = preset;
-                            entry.size = size;
-                            entry.lineBytes = line;
-                            entry.pointsPerOctave = ppo;
-                            entry.profiler = prof;
-                            entry.samplingLabel = samp.label;
-                            entry.protocol = mach.protocol;
-                            entry.hierarchy = mach.hierarchy;
-                            entry.scheduler = mach.scheduler;
-
-                            core::SuiteVariant variant;
-                            variant.size = size;
-                            variant.lineBytes = line;
-                            serve::Request &req = entry.request;
-                            req.op = serve::Op::Study;
-                            req.preset = core::suiteVariantName(
-                                preset, variant);
-                            if (prof !=
-                                memsys::ProfilerKind::TreeMattson)
-                                req.profiler =
-                                    memsys::profilerKindName(prof);
-                            if (ppo != 0)
-                                req.pointsPerOctave = ppo;
-                            if (samp.config.mode ==
-                                approx::SamplingMode::FixedRate)
-                                req.sampleRate = samp.config.rate;
-                            if (samp.config.mode ==
-                                approx::SamplingMode::FixedSize)
-                                req.sampleSize = samp.config.maxLines;
-                            if (mach.protocol != "write-invalidate")
-                                req.protocol = mach.protocol;
-                            if (mach.hierarchy != "single")
-                                req.hierarchy = mach.hierarchy;
-                            if (mach.scheduler != "static")
-                                req.scheduler = mach.scheduler;
-                            req.analyzeRaces = spec.analyzeRaces;
-                            req.timeoutSeconds = spec.timeoutSeconds;
-
-                            entry.name = req.preset;
-                            if (ppo != 0)
-                                entry.name +=
-                                    "@ppo=" + std::to_string(ppo);
-                            if (prof !=
-                                memsys::ProfilerKind::TreeMattson)
-                                entry.name +=
-                                    std::string("@prof=") +
-                                    memsys::profilerKindName(prof);
-                            if (samp.label != "exact")
-                                entry.name += "@samp=" + samp.label;
-                            if (mach.protocol != "write-invalidate")
-                                entry.name +=
-                                    "@proto=" + mach.protocol;
-                            if (mach.hierarchy != "single")
-                                entry.name +=
-                                    "@hier=" + mach.hierarchy;
-                            if (mach.scheduler != "static")
-                                entry.name +=
-                                    "@sched=" + mach.scheduler;
-
-                            bool kept = spec.include.empty();
-                            for (const std::string &inc :
-                                 spec.include)
-                                kept = kept ||
-                                       entry.name.find(inc) !=
-                                           std::string::npos;
-                            for (const std::string &exc :
-                                 spec.exclude)
-                                kept = kept &&
-                                       entry.name.find(exc) ==
-                                           std::string::npos;
-                            if (!kept) {
-                                ++grid.filteredOut;
-                                continue;
-                            }
-
-                            // Resolve the point through the same
-                            // factory the daemon uses: the canonical
-                            // config's hash is the cache key, known
-                            // before anything is submitted.
-                            core::StudyJob job;
-                            try {
-                                job = core::figureSuiteJob(
-                                    req.preset, req.studyConfig());
-                            } catch (const std::exception &e) {
-                                throw CampaignError(
-                                    "grid point '" + entry.name +
-                                    "' is invalid: " + e.what());
-                            }
-                            entry.configHash =
-                                stats::fnv1a64Hex(job.canonicalConfig);
-
-                            hashInput += entry.name + "=" +
-                                         entry.configHash + "\n";
-                            grid.entries.push_back(std::move(entry));
-                          }
-                        }
-                    }
+      for (core::ProblemSize size : spec.sizes) {
+        for (std::uint32_t line : spec.lineBytes) {
+          for (int ppo : spec.pointsPerOctave) {
+            for (const AxisPoint &labels : points) {
+                // An infeasible combination (AET has no per-line stack
+                // state to sample from) is not an error: a grid that
+                // sweeps both axes simply skips it.
+                core::StudyConfig config;
+                for (std::size_t a = 0; a < labels.size(); ++a)
+                    core::kStudyAxes[a].parse(config, labels[a]);
+                try {
+                    core::checkAxisCombination(config, 0, false);
+                } catch (const std::invalid_argument &) {
+                    ++grid.skippedInfeasible;
+                    continue;
                 }
+
+                CampaignEntry entry;
+                entry.preset = preset;
+                entry.size = size;
+                entry.lineBytes = line;
+                entry.pointsPerOctave = ppo;
+                entry.axes = labels;
+
+                core::SuiteVariant variant;
+                variant.size = size;
+                variant.lineBytes = line;
+                serve::Request &req = entry.request;
+                req.op = serve::Op::Study;
+                req.preset = core::suiteVariantName(preset, variant);
+                req.pointsPerOctave = ppo;
+                req.analyzeRaces = spec.analyzeRaces;
+                req.timeoutSeconds = spec.timeoutSeconds;
+                entry.name = req.preset;
+                if (ppo != 0)
+                    entry.name += "@ppo=" + std::to_string(ppo);
+                for (std::size_t a = 0; a < labels.size(); ++a) {
+                    const core::StudyAxis &axis = core::kStudyAxes[a];
+                    if (labels[a] == axis.defaultLabel)
+                        continue;
+                    entry.name += std::string("@") + axis.segment + "=" +
+                                  labels[a];
+                    const core::AxisInput *input = core::inputForLabel(
+                        static_cast<core::StudyAxisIndex>(a), labels[a]);
+                    req.axes[input - core::kAxisInputs.data()] =
+                        labels[a].substr(std::strlen(input->labelPrefix));
+                }
+
+                bool kept = spec.include.empty();
+                for (const std::string &inc : spec.include)
+                    kept = kept || entry.name.find(inc) != std::string::npos;
+                for (const std::string &exc : spec.exclude)
+                    kept = kept && entry.name.find(exc) == std::string::npos;
+                if (!kept) {
+                    ++grid.filteredOut;
+                    continue;
+                }
+
+                // Resolve the point through the same factory the
+                // daemon uses: the canonical config's hash is the
+                // cache key, known before anything is submitted.
+                core::StudyJob job;
+                try {
+                    job = core::figureSuiteJob(req.preset,
+                                               req.studyConfig());
+                } catch (const std::exception &e) {
+                    throw CampaignError("grid point '" + entry.name +
+                                        "' is invalid: " + e.what());
+                }
+                entry.configHash = stats::fnv1a64Hex(job.canonicalConfig);
+
+                hashInput +=
+                    entry.name + "=" + entry.configHash + "\n";
+                grid.entries.push_back(std::move(entry));
             }
+          }
         }
+      }
     }
     grid.gridHash = stats::fnv1a64Hex(hashInput);
     return grid;

@@ -4,15 +4,16 @@
  *
  * A campaign starts from a small JSON grid file (wsg-campaign-grid-v1)
  * naming the axis values to sweep — suite presets × problem sizes ×
- * line sizes × sweep resolutions × profilers × sampling modes ×
- * coherence protocols × node hierarchies × replay schedulers — plus
- * include/exclude filters. expandGrid() takes the cross product,
- * drops infeasible combinations (the AET profiler cannot be combined
- * with sampling), applies the filters, and resolves every surviving
- * point through core::figureSuiteJob to its canonical config and
- * content hash — the *same* factory and hash the serving daemon uses,
- * so a campaign entry's hash is its cache key by construction, before
- * anything has been submitted.
+ * line sizes × sweep resolutions × the study axes of core/study_axes
+ * (profilers × sampling modes × coherence protocols × node
+ * hierarchies × replay schedulers) — plus include/exclude filters.
+ * expandGrid() takes the cross product, drops infeasible combinations
+ * (those core::checkAxisCombination rejects: the AET profiler cannot
+ * be combined with sampling), applies the filters, and resolves every
+ * surviving point through core::figureSuiteJob to its canonical config
+ * and content hash — the *same* factory and hash the serving daemon
+ * uses, so a campaign entry's hash is its cache key by construction,
+ * before anything has been submitted.
  *
  * Grid file format (all axis fields optional; defaults in brackets):
  *
@@ -30,6 +31,9 @@
  *    "analyze_races": false,
  *    "timeout_seconds": 0}
  *
+ * The study-axis keys and their labels are those of core::kStudyAxes,
+ * so a new axis there is a new grid key here.
+ *
  * Unknown top-level keys are rejected — a typo'd axis name silently
  * falling back to its default would corrupt a thousand-study sweep.
  */
@@ -37,15 +41,15 @@
 #ifndef WSG_CAMPAIGN_GRID_HH
 #define WSG_CAMPAIGN_GRID_HH
 
+#include <array>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "approx/sampling.hh"
+#include "core/study_axes.hh"
 #include "core/suite.hh"
-#include "memsys/profiler.hh"
 #include "serve/protocol.hh"
 
 namespace wsg::campaign
@@ -61,18 +65,6 @@ class CampaignError : public std::runtime_error
     }
 };
 
-/** One sampling-axis point with its stable label. */
-struct SamplingPoint
-{
-    approx::SamplingConfig config{};
-    /** "exact", "rate:R" or "size:N" — the grid-file spelling. */
-    std::string label = "exact";
-};
-
-/** Parse a sampling-axis spelling ("exact" | "rate:R" | "size:N").
- *  @throws CampaignError on malformed input. */
-SamplingPoint parseSamplingPoint(const std::string &text);
-
 /** The declarative axes of a sweep. */
 struct GridSpec
 {
@@ -83,18 +75,10 @@ struct GridSpec
     std::vector<std::uint32_t> lineBytes{0};
     /** 0 = the study default resolution. */
     std::vector<int> pointsPerOctave{0};
-    std::vector<memsys::ProfilerKind> profilers{
-        memsys::ProfilerKind::TreeMattson};
-    std::vector<SamplingPoint> sampling{SamplingPoint{}};
-    /** Canonical coherence-protocol names (short forms normalized at
-     *  parse time). */
-    std::vector<std::string> protocols{"write-invalidate"};
-    /** Canonical node-hierarchy labels ("single" | "incl:<l1>:<l2>" |
-     *  "excl:<l1>:<l2>"). */
-    std::vector<std::string> hierarchies{"single"};
-    /** Canonical replay-scheduler labels ("static" | "round-robin" |
-     *  "steal:r<rate>:s<seed>"; aliases normalized at parse time). */
-    std::vector<std::string> schedulers{"static"};
+    /** Canonical labels to sweep per study axis, indexed like
+     *  core::kStudyAxes (aliases normalized at parse time); empty =
+     *  the axis default alone. */
+    std::array<std::vector<std::string>, core::kStudyAxisCount> axes;
     /** Keep only entries whose name contains one of these (empty =
      *  keep all); then drop entries whose name contains any exclude. */
     std::vector<std::string> include;
@@ -116,9 +100,9 @@ struct CampaignEntry
 {
     /**
      * Stable axis-qualified label: the variant-suffixed preset name
-     * plus "@ppo=", "@prof=", "@samp=", "@proto=", "@hier=", "@sched="
-     * segments for non-default axis values. Filters match against
-     * this.
+     * plus "@ppo=" and one "@<segment>=<label>" per study axis off its
+     * default ("@prof=aet@samp=size:4096"), in axis order. Filters
+     * match against this.
      */
     std::string name;
     /** Ready-to-send wire request (preset, overrides, timeout). */
@@ -133,11 +117,9 @@ struct CampaignEntry
     std::uint32_t lineBytes = 0;
     /** As requested; 0 = study default. */
     int pointsPerOctave = 0;
-    memsys::ProfilerKind profiler = memsys::ProfilerKind::TreeMattson;
-    std::string samplingLabel = "exact";
-    std::string protocol = "write-invalidate";
-    std::string hierarchy = "single";
-    std::string scheduler = "static";
+    /** Canonical study-axis labels, indexed like core::kStudyAxes. */
+    std::array<std::string, core::kStudyAxisCount> axes =
+        core::defaultAxisLabels();
 };
 
 /** An expanded, filtered, content-addressed study population. */
@@ -158,8 +140,8 @@ struct Grid
 
 /**
  * Expand @p spec into its deterministic study population (nested-loop
- * order: preset, size, line, resolution, profiler, sampling, protocol,
- * hierarchy, scheduler).
+ * order: preset, size, line, resolution, then the study axes in
+ * core::kStudyAxes order).
  * @throws CampaignError on unknown presets or axis values the suite
  *         factory rejects.
  */

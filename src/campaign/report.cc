@@ -431,14 +431,17 @@ buildCampaignReport(const Grid &grid, const CampaignResult &result,
         s.lineBytes = entry.lineBytes;
         s.pointsPerOctave =
             static_cast<std::uint64_t>(entry.pointsPerOctave);
-        s.profiler = memsys::profilerKindName(entry.profiler);
-        s.sampling = entry.samplingLabel;
-        if (entry.protocol != "write-invalidate")
-            s.protocol = entry.protocol;
-        if (entry.hierarchy != "single")
-            s.hierarchy = entry.hierarchy;
-        if (entry.scheduler != "static")
-            s.scheduler = entry.scheduler;
+        s.profiler = entry.axes[core::kProfilerAxis];
+        s.sampling = entry.axes[core::kSamplingAxis];
+        // The machine axes are reported only off their defaults.
+        auto off_default = [&entry](core::StudyAxisIndex a) {
+            return entry.axes[a] == core::kStudyAxes[a].defaultLabel
+                       ? std::string()
+                       : entry.axes[a];
+        };
+        s.protocol = off_default(core::kProtocolAxis);
+        s.hierarchy = off_default(core::kHierarchyAxis);
+        s.scheduler = off_default(core::kSchedulerAxis);
         s.error = outcome.error;
 
         if (s.status == "ok") {

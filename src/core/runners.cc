@@ -3,6 +3,7 @@
 #include <cmath>
 #include <memory>
 
+#include "core/study_axes.hh"
 #include "core/watchdog.hh"
 #include "replay/scheduled_sink.hh"
 #include "stats/json_report.hh"
@@ -175,38 +176,8 @@ appendStudyConfig(std::string &out, const StudyConfig &study,
            "\n";
     out += "analyze_races=" +
            std::to_string(study.analyzeRaces ? 1 : 0) + "\n";
-    out += std::string("profiler=") +
-           memsys::profilerKindName(study.profiler) + "\n";
-    out += std::string("sampling_mode=") +
-           approx::samplingModeName(study.sampling.mode) + "\n";
-    if (study.sampling.mode == approx::SamplingMode::FixedRate)
-        out += "sampling_rate=" + canonicalDouble(study.sampling.rate) +
-               "\n";
-    if (study.sampling.mode == approx::SamplingMode::FixedSize)
-        out += "sampling_max_lines=" +
-               std::to_string(study.sampling.maxLines) + "\n";
-    if (study.sampling.enabled())
-        out += "sampling_hash_salt=" +
-               std::to_string(study.sampling.hashSalt) + "\n";
-    // The machine axes are appended only when off their defaults so
-    // every pre-existing study config — and therefore every content
-    // hash, cache entry and campaign resume key — keeps its bytes.
-    if (study.protocol != sim::CoherenceProtocol::WriteInvalidate)
-        out += std::string("protocol=") +
-               sim::coherenceProtocolName(study.protocol) + "\n";
-    if (study.hierarchy.twoLevel())
-        out += "hierarchy=" + memsys::hierarchyLabel(study.hierarchy) +
-               "\n";
-    if (study.scheduler.kind != replay::SchedulerKind::Static) {
-        out += std::string("scheduler=") +
-               replay::schedulerKindName(study.scheduler.kind) + "\n";
-        if (study.scheduler.kind == replay::SchedulerKind::WorkStealing) {
-            out += "steal_rate=" +
-                   canonicalDouble(study.scheduler.stealRate) + "\n";
-            out += "steal_seed=" +
-                   std::to_string(study.scheduler.stealSeed) + "\n";
-        }
-    }
+    for (const StudyAxis &axis : kStudyAxes)
+        axis.appendCanonical(out, study);
 }
 
 } // namespace
@@ -224,7 +195,7 @@ luStudyJob(const apps::lu::LuConfig &app_config,
         "\nproc_rows=" + std::to_string(app_config.procRows) +
         "\nproc_cols=" + std::to_string(app_config.procCols) + "\n";
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
-    job.body = [app_config, study, line_bytes]() {
+    job.body = [app_config, study, line_bytes, name = job.name]() {
         trace::SharedAddressSpace space;
         sim::Multiprocessor mp(
             simConfigFor(app_config.numProcs(), line_bytes, study));
@@ -236,8 +207,7 @@ luStudyJob(const apps::lu::LuConfig &app_config,
         chain.checkDeadline();
         return chain.finish(analyzeWorkingSets(
             mp, study, Metric::MissesPerFlop, app.flops().totalFlops(),
-            "LU n=" + std::to_string(app_config.n) +
-                " B=" + std::to_string(app_config.blockSize)));
+            name));
     };
     return job;
 }
@@ -260,7 +230,8 @@ cgStudyJob(const apps::cg::CgConfig &app_config, std::uint32_t iters,
         "\niters=" + std::to_string(iters) +
         "\nwarmup_iters=" + std::to_string(warmup_iters) + "\n";
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
-    job.body = [app_config, iters, warmup_iters, study, line_bytes]() {
+    job.body = [app_config, iters, warmup_iters, study, line_bytes,
+                name = job.name]() {
         trace::SharedAddressSpace space;
         sim::Multiprocessor mp(
             simConfigFor(app_config.numProcs(), line_bytes, study));
@@ -278,9 +249,7 @@ cgStudyJob(const apps::cg::CgConfig &app_config, std::uint32_t iters,
         chain.checkDeadline();
         return chain.finish(analyzeWorkingSets(
             mp, study, Metric::MissesPerFlop,
-            app.flops().totalFlops() - warm_flops,
-            "CG " + std::to_string(app_config.dims) +
-                "-D n=" + std::to_string(app_config.n)));
+            app.flops().totalFlops() - warm_flops, name));
     };
     return job;
 }
@@ -302,7 +271,7 @@ fftStudyJob(const apps::fft::FftConfig &app_config,
         std::to_string(warmup_transforms) + "\n";
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
     job.body = [app_config, transforms, warmup_transforms, study,
-                line_bytes]() {
+                line_bytes, name = job.name]() {
         trace::SharedAddressSpace space;
         sim::Multiprocessor mp(
             simConfigFor(app_config.numProcs, line_bytes, study));
@@ -324,9 +293,7 @@ fftStudyJob(const apps::fft::FftConfig &app_config,
         chain.checkDeadline();
         return chain.finish(analyzeWorkingSets(
             mp, study, Metric::MissesPerFlop,
-            app.flops().totalFlops() - warm_flops,
-            "FFT logN=" + std::to_string(app_config.logN) +
-                " r=" + std::to_string(app_config.internalRadix)));
+            app.flops().totalFlops() - warm_flops, name));
     };
     return job;
 }
@@ -351,7 +318,8 @@ barnesStudyJob(const apps::barnes::BarnesConfig &app_config,
         std::to_string(steps) + "\nwarmup_steps=" +
         std::to_string(warmup_steps) + "\n";
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
-    job.body = [app_config, steps, warmup_steps, study, line_bytes]() {
+    job.body = [app_config, steps, warmup_steps, study, line_bytes,
+                name = job.name]() {
         trace::SharedAddressSpace space;
         sim::Multiprocessor mp(
             simConfigFor(app_config.numProcs, line_bytes, study));
@@ -369,10 +337,7 @@ barnesStudyJob(const apps::barnes::BarnesConfig &app_config,
 
         chain.checkDeadline();
         return chain.finish(analyzeWorkingSets(
-            mp, study, Metric::ReadMissRate, 0,
-            "Barnes-Hut n=" + std::to_string(app_config.numBodies) +
-                " theta=" +
-                std::to_string(app_config.theta).substr(0, 4)));
+            mp, study, Metric::ReadMissRate, 0, name));
     };
     return job;
 }
@@ -403,7 +368,8 @@ volrendStudyJob(const apps::volrend::VolumeDims &dims,
         std::to_string(frames) + "\nwarmup_frames=" +
         std::to_string(warmup_frames) + "\n";
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
-    job.body = [dims, render, frames, warmup_frames, study, line_bytes]() {
+    job.body = [dims, render, frames, warmup_frames, study, line_bytes,
+                name = job.name]() {
         trace::SharedAddressSpace space;
         sim::Multiprocessor mp(
             simConfigFor(render.numProcs, line_bytes, study));
@@ -424,8 +390,7 @@ volrendStudyJob(const apps::volrend::VolumeDims &dims,
 
         chain.checkDeadline();
         return chain.finish(analyzeWorkingSets(
-            mp, study, Metric::ReadMissRate, 0,
-            "Volrend " + std::to_string(dims.nx) + "^3"));
+            mp, study, Metric::ReadMissRate, 0, name));
     };
     return job;
 }
@@ -444,7 +409,7 @@ choleskyStudyJob(const apps::lu::LuConfig &app_config,
         std::to_string(app_config.procRows) + "\nproc_cols=" +
         std::to_string(app_config.procCols) + "\n";
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
-    job.body = [app_config, study, line_bytes]() {
+    job.body = [app_config, study, line_bytes, name = job.name]() {
         trace::SharedAddressSpace space;
         sim::Multiprocessor mp(
             simConfigFor(app_config.numProcs(), line_bytes, study));
@@ -456,8 +421,7 @@ choleskyStudyJob(const apps::lu::LuConfig &app_config,
         chain.checkDeadline();
         return chain.finish(analyzeWorkingSets(
             mp, study, Metric::MissesPerFlop, app.flops().totalFlops(),
-            "Cholesky n=" + std::to_string(app_config.n) +
-                " B=" + std::to_string(app_config.blockSize)));
+            name));
     };
     return job;
 }
@@ -480,7 +444,8 @@ unstructuredStudyJob(const apps::cg::UnstructuredConfig &app_config,
         std::to_string(iters) + "\nwarmup_iters=" +
         std::to_string(warmup_iters) + "\n";
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
-    job.body = [app_config, iters, warmup_iters, study, line_bytes]() {
+    job.body = [app_config, iters, warmup_iters, study, line_bytes,
+                name = job.name]() {
         trace::SharedAddressSpace space;
         sim::Multiprocessor mp(
             simConfigFor(app_config.numProcs, line_bytes, study));
@@ -498,9 +463,7 @@ unstructuredStudyJob(const apps::cg::UnstructuredConfig &app_config,
         chain.checkDeadline();
         return chain.finish(analyzeWorkingSets(
             mp, study, Metric::MissesPerFlop,
-            app.flops().totalFlops() - warm_flops,
-            "UnstructuredCG n=" +
-                std::to_string(app_config.numVertices)));
+            app.flops().totalFlops() - warm_flops, name));
     };
     return job;
 }
@@ -523,7 +486,7 @@ fft2dStudyJob(const apps::fft::Fft2dConfig &app_config,
         std::to_string(warmup_transforms) + "\n";
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
     job.body = [app_config, transforms, warmup_transforms, study,
-                line_bytes]() {
+                line_bytes, name = job.name]() {
         trace::SharedAddressSpace space;
         sim::Multiprocessor mp(
             simConfigFor(app_config.numProcs, line_bytes, study));
@@ -549,9 +512,7 @@ fft2dStudyJob(const apps::fft::Fft2dConfig &app_config,
         chain.checkDeadline();
         return chain.finish(analyzeWorkingSets(
             mp, study, Metric::MissesPerFlop,
-            app.flops().totalFlops() - warm_flops,
-            "FFT2D " + std::to_string(app_config.rows()) + "x" +
-                std::to_string(app_config.cols())));
+            app.flops().totalFlops() - warm_flops, name));
     };
     return job;
 }
@@ -576,7 +537,7 @@ fft3dStudyJob(const apps::fft::Fft3dConfig &app_config,
         std::to_string(warmup_transforms) + "\n";
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
     job.body = [app_config, transforms, warmup_transforms, study,
-                line_bytes]() {
+                line_bytes, name = job.name]() {
         trace::SharedAddressSpace space;
         sim::Multiprocessor mp(
             simConfigFor(app_config.numProcs, line_bytes, study));
@@ -606,10 +567,7 @@ fft3dStudyJob(const apps::fft::Fft3dConfig &app_config,
         chain.checkDeadline();
         return chain.finish(analyzeWorkingSets(
             mp, study, Metric::MissesPerFlop,
-            app.flops().totalFlops() - warm_flops,
-            "FFT3D " + std::to_string(app_config.n0()) + "x" +
-                std::to_string(app_config.n1()) + "x" +
-                std::to_string(app_config.n2())));
+            app.flops().totalFlops() - warm_flops, name));
     };
     return job;
 }

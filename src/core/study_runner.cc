@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/study_axes.hh"
 #include "stats/hash.hh"
 #include "stats/json_report.hh"
 #include "stats/units.hh"
@@ -356,171 +357,80 @@ RunnerCli
 parseRunnerCli(int &argc, char **argv)
 {
     RunnerCli cli;
+    AxisInputSet given = 0;
+    auto fail = [](const std::string &message) {
+        std::cerr << "error: " << message << "\n";
+        std::exit(2);
+    };
+    auto parse_jobs = [&](const std::string &text) -> unsigned {
+        char *end = nullptr;
+        unsigned long v = std::strtoul(text.c_str(), &end, 10);
+        if (text.empty() || end != text.c_str() + text.size())
+            fail("--jobs needs a non-negative integer, got '" + text +
+                 "'");
+        return static_cast<unsigned>(v);
+    };
+    auto parse_timeout = [&](const std::string &text) {
+        char *end = nullptr;
+        double v = std::strtod(text.c_str(), &end);
+        if (text.empty() || end != text.c_str() + text.size() ||
+            !(v > 0.0))
+            fail("--timeout needs a positive number of seconds, got '" +
+                 text + "'");
+        return v;
+    };
     int out = 1;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        auto fail = [](const std::string &message) {
-            std::cerr << "error: " << message << "\n";
-            std::exit(2);
-        };
-        auto next_value = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc)
-                fail(std::string(flag) + " needs a value");
-            return argv[++i];
-        };
-        auto parse_jobs = [&](const std::string &text) -> unsigned {
-            char *end = nullptr;
-            unsigned long v = std::strtoul(text.c_str(), &end, 10);
-            if (text.empty() || end != text.c_str() + text.size())
-                fail("--jobs needs a non-negative integer, got '" +
-                     text + "'");
-            return static_cast<unsigned>(v);
-        };
-        auto parse_rate = [&](const std::string &text) {
-            char *end = nullptr;
-            double v = std::strtod(text.c_str(), &end);
-            if (text.empty() || end != text.c_str() + text.size() ||
-                !(v > 0.0) || v > 1.0)
-                fail("--sample-rate needs a rate in (0, 1], got '" +
-                     text + "'");
-            if (cli.sampling.mode == approx::SamplingMode::FixedSize)
-                fail("--sample-rate and --sample-size are mutually "
-                     "exclusive");
-            if (cli.profiler == memsys::ProfilerKind::Aet)
-                fail("--profiler aet does not compose with sampling");
-            cli.sampling.mode = approx::SamplingMode::FixedRate;
-            cli.sampling.rate = v;
-        };
-        auto parse_profiler = [&](const std::string &text) {
-            try {
-                cli.profiler = memsys::parseProfilerKind(text);
-            } catch (const std::invalid_argument &e) {
-                fail(std::string("--profiler: ") + e.what());
+        // "--flag V" or "--flag=V": set value to V and return true.
+        std::string value;
+        auto flag_value = [&](const std::string &flag) {
+            if (arg == flag) {
+                if (i + 1 >= argc)
+                    fail(flag + " needs a value");
+                value = argv[++i];
+                return true;
             }
-            if (cli.profiler == memsys::ProfilerKind::Aet &&
-                cli.sampling.enabled())
-                fail("--profiler aet does not compose with sampling");
+            if (arg.size() <= flag.size() || arg[flag.size()] != '=' ||
+                arg.compare(0, flag.size(), flag) != 0)
+                return false;
+            value = arg.substr(flag.size() + 1);
+            return true;
         };
-        auto parse_timeout = [&](const std::string &text) {
-            char *end = nullptr;
-            double v = std::strtod(text.c_str(), &end);
-            if (text.empty() || end != text.c_str() + text.size() ||
-                !(v > 0.0))
-                fail("--timeout needs a positive number of seconds, "
-                     "got '" +
-                     text + "'");
-            cli.timeoutSeconds = v;
-        };
-        auto parse_size = [&](const std::string &text) {
-            char *end = nullptr;
-            unsigned long long v =
-                std::strtoull(text.c_str(), &end, 10);
-            if (text.empty() || end != text.c_str() + text.size() ||
-                v == 0)
-                fail("--sample-size needs a positive line count, got '" +
-                     text + "'");
-            if (cli.sampling.mode == approx::SamplingMode::FixedRate)
-                fail("--sample-rate and --sample-size are mutually "
-                     "exclusive");
-            if (cli.profiler == memsys::ProfilerKind::Aet)
-                fail("--profiler aet does not compose with sampling");
-            cli.sampling.mode = approx::SamplingMode::FixedSize;
-            cli.sampling.maxLines = v;
-        };
-        auto parse_protocol = [&](const std::string &text) {
-            try {
-                cli.protocol = sim::parseCoherenceProtocol(text);
-            } catch (const std::invalid_argument &e) {
-                fail(std::string("--protocol: ") + e.what());
-            }
-        };
-        auto parse_hierarchy = [&](const std::string &text) {
-            try {
-                cli.hierarchy = memsys::parseHierarchySpec(text);
-            } catch (const std::invalid_argument &e) {
-                fail(std::string("--hierarchy: ") + e.what());
-            }
-        };
-        auto parse_scheduler = [&](const std::string &text) {
-            try {
-                cli.scheduler =
-                    replay::parseSchedulerSpec(text, cli.scheduler);
-            } catch (const std::invalid_argument &e) {
-                fail(std::string("--scheduler: ") + e.what());
-            }
-        };
-        auto parse_steal_rate = [&](const std::string &text) {
-            char *end = nullptr;
-            double v = std::strtod(text.c_str(), &end);
-            if (text.empty() || end != text.c_str() + text.size() ||
-                v < 0.0 || v > 1.0)
-                fail("--steal-rate needs a rate in [0, 1], got '" +
-                     text + "'");
-            cli.scheduler.stealRate = v;
-        };
-        auto parse_steal_seed = [&](const std::string &text) {
-            char *end = nullptr;
-            unsigned long long v =
-                std::strtoull(text.c_str(), &end, 10);
-            if (text.empty() || end != text.c_str() + text.size())
-                fail("--steal-seed needs a non-negative integer, "
-                     "got '" +
-                     text + "'");
-            cli.scheduler.stealSeed = v;
-        };
-        if (arg == "--jobs") {
-            cli.jobs = parse_jobs(next_value("--jobs"));
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            cli.jobs = parse_jobs(arg.substr(7));
-        } else if (arg == "--json") {
-            cli.jsonPath = next_value("--json");
-        } else if (arg.rfind("--json=", 0) == 0) {
-            cli.jsonPath = arg.substr(7);
-        } else if (arg == "--progress") {
+        if (arg == "--progress") {
             cli.progress = true;
         } else if (arg == "--analyze-races") {
-            cli.analyzeRaces = true;
-        } else if (arg == "--timeout") {
-            parse_timeout(next_value("--timeout"));
-        } else if (arg.rfind("--timeout=", 0) == 0) {
-            parse_timeout(arg.substr(10));
-        } else if (arg == "--profiler") {
-            parse_profiler(next_value("--profiler"));
-        } else if (arg.rfind("--profiler=", 0) == 0) {
-            parse_profiler(arg.substr(11));
-        } else if (arg == "--protocol") {
-            parse_protocol(next_value("--protocol"));
-        } else if (arg.rfind("--protocol=", 0) == 0) {
-            parse_protocol(arg.substr(11));
-        } else if (arg == "--hierarchy") {
-            parse_hierarchy(next_value("--hierarchy"));
-        } else if (arg.rfind("--hierarchy=", 0) == 0) {
-            parse_hierarchy(arg.substr(12));
-        } else if (arg == "--scheduler") {
-            parse_scheduler(next_value("--scheduler"));
-        } else if (arg.rfind("--scheduler=", 0) == 0) {
-            parse_scheduler(arg.substr(12));
-        } else if (arg == "--steal-rate") {
-            parse_steal_rate(next_value("--steal-rate"));
-        } else if (arg.rfind("--steal-rate=", 0) == 0) {
-            parse_steal_rate(arg.substr(13));
-        } else if (arg == "--steal-seed") {
-            parse_steal_seed(next_value("--steal-seed"));
-        } else if (arg.rfind("--steal-seed=", 0) == 0) {
-            parse_steal_seed(arg.substr(13));
-        } else if (arg == "--sample-rate") {
-            parse_rate(next_value("--sample-rate"));
-        } else if (arg.rfind("--sample-rate=", 0) == 0) {
-            parse_rate(arg.substr(14));
-        } else if (arg == "--sample-size") {
-            parse_size(next_value("--sample-size"));
-        } else if (arg.rfind("--sample-size=", 0) == 0) {
-            parse_size(arg.substr(14));
+            cli.study.analyzeRaces = true;
+        } else if (flag_value("--jobs")) {
+            cli.jobs = parse_jobs(value);
+        } else if (flag_value("--json")) {
+            cli.jsonPath = value;
+        } else if (flag_value("--timeout")) {
+            cli.study.timeoutSeconds = parse_timeout(value);
         } else {
-            argv[out++] = argv[i];
+            std::size_t k = 0;
+            while (k < kAxisInputs.size() &&
+                   !flag_value(kAxisInputs[k].flag))
+                ++k;
+            if (k == kAxisInputs.size()) {
+                argv[out++] = argv[i];
+                continue;
+            }
+            try {
+                applyAxisInput(kAxisInputs[k], cli.study, value,
+                               kAxisInputs[k].flag);
+            } catch (const std::invalid_argument &e) {
+                fail(e.what());
+            }
+            given |= AxisInputSet{1} << k;
         }
     }
     argc = out;
+    try {
+        checkAxisCombination(cli.study, given, false);
+    } catch (const std::invalid_argument &e) {
+        fail(e.what());
+    }
     return cli;
 }
 

@@ -199,66 +199,21 @@ struct RunnerCli
     /** --progress: emit live per-job progress lines on stderr. */
     bool progress = false;
     /**
-     * --sample-rate R (fixed-rate) / --sample-size N (fixed-size)
-     * spatial sampling; mutually exclusive. Default: exact profiling.
-     * Benches copy this into StudyConfig::sampling.
+     * What the axis flags of core/study_axes.hh, --analyze-races and
+     * --timeout S set. Benches and examples start every study from
+     * this and set only their own sweep fields; benches exit non-zero
+     * when --analyze-races finds a race, so it doubles as a CI gate.
      */
-    approx::SamplingConfig sampling{};
-    /**
-     * --analyze-races: run the happens-before race check alongside
-     * every study (StudyConfig::analyzeRaces). Benches report the
-     * outcome per study and exit non-zero if any race is found, so the
-     * flag doubles as a CI gate.
-     */
-    bool analyzeRaces = false;
-    /**
-     * --timeout S: per-study watchdog budget in seconds (0 = off).
-     * Benches copy this into StudyConfig::timeoutSeconds; a study past
-     * its budget fails with a typed error instead of hanging the pool.
-     */
-    double timeoutSeconds = 0.0;
-    /**
-     * --profiler KIND: which miss-rate-curve construction the studies
-     * run (tree-mattson | aet, with "tree" accepted as a short form).
-     * Benches copy this into StudyConfig::profiler. AET combined with a
-     * sampling flag is rejected.
-     */
-    memsys::ProfilerKind profiler = memsys::ProfilerKind::TreeMattson;
-    /**
-     * --protocol NAME: coherence protocol the studies run
-     * (write-invalidate | write-update | mi | msi | mesi, with "wi" and
-     * "wu" accepted as short forms). Benches copy this into
-     * StudyConfig::protocol.
-     */
-    sim::CoherenceProtocol protocol =
-        sim::CoherenceProtocol::WriteInvalidate;
-    /**
-     * --hierarchy SPEC: per-node cache hierarchy the studies run
-     * (single | incl:<l1-bytes>:<l2-bytes> | excl:<l1-bytes>:<l2-bytes>).
-     * Benches copy this into StudyConfig::hierarchy.
-     */
-    memsys::NodeHierarchySpec hierarchy{};
-    /**
-     * --scheduler LABEL: replay schedule the studies run (static |
-     * round-robin | steal[:rRATE][:sSEED], with "rr"/"ws"/
-     * "work-stealing" accepted as aliases). --steal-rate R and
-     * --steal-seed N override the stealing parameters individually and
-     * compose with --scheduler in either order. Benches copy this into
-     * StudyConfig::scheduler.
-     */
-    replay::SchedulerSpec scheduler{};
+    StudyConfig study{};
 };
 
 /**
- * Extract --jobs/--json/--progress/--analyze-races/--timeout/
- * --profiler/--protocol/--hierarchy/--scheduler/--steal-rate/
- * --steal-seed/--sample-rate/--sample-size from argv, *removing* the
- * consumed arguments so positional parameters keep their indices for
- * the caller. A malformed runner flag (missing or unparseable value,
- * rate outside (0,1], size of zero, a non-positive timeout, an unknown
- * profiler kind, an unknown protocol name, a malformed hierarchy spec,
- * a malformed scheduler label, a steal rate outside [0, 1], AET
- * together with a sampling flag, or both sampling flags at once)
+ * Extract --jobs/--json/--progress/--analyze-races/--timeout and the
+ * axis flags of core/study_axes.hh from argv, each as "--flag V" or
+ * "--flag=V", *removing* the consumed arguments so positional
+ * parameters keep their indices for the caller. A malformed runner
+ * flag (missing or unparseable value, a non-positive timeout, a value
+ * its axis rejects, or a combination checkAxisCombination rejects)
  * prints an error on stderr and exits with status 2.
  */
 RunnerCli parseRunnerCli(int &argc, char **argv);

@@ -131,64 +131,43 @@ parseObjectLine(std::string_view line, const char *what)
 
 } // namespace
 
+std::string &
+Request::axis(std::string_view key)
+{
+    for (std::size_t k = 0; k < axes.size(); ++k)
+        if (key == core::kAxisInputs[k].wireKey)
+            return axes[k];
+    throw std::invalid_argument("unknown axis wire key: " +
+                                std::string(key));
+}
+
 core::StudyConfig
 Request::studyConfig() const
 {
-    if (sampleRate > 0.0 && sampleSize > 0)
-        throw ProtocolError(
-            "sample_rate and sample_size are mutually exclusive");
     core::StudyConfig base;
-    if (sampleRate > 0.0) {
-        base.sampling.mode = approx::SamplingMode::FixedRate;
-        base.sampling.rate = sampleRate;
-    } else if (sampleSize > 0) {
-        base.sampling.mode = approx::SamplingMode::FixedSize;
-        base.sampling.maxLines = sampleSize;
-    }
-    base.analyzeRaces = analyzeRaces;
-    base.timeoutSeconds = timeoutSeconds;
-    if (!profiler.empty()) {
-        try {
-            base.profiler = memsys::parseProfilerKind(profiler);
-        } catch (const std::invalid_argument &e) {
-            throw ProtocolError(e.what());
-        }
-    }
-    if (base.profiler == memsys::ProfilerKind::Aet &&
-        base.sampling.enabled())
-        throw ProtocolError(
-            "the aet profiler cannot be combined with sampling");
-    if (pointsPerOctave != 0) {
-        if (pointsPerOctave < 1 || pointsPerOctave > 64)
-            throw ProtocolError(
-                "points_per_octave must be in [1, 64]");
-        base.pointsPerOctave = pointsPerOctave;
-    }
-    if (!protocol.empty()) {
-        try {
-            base.protocol = sim::parseCoherenceProtocol(protocol);
-        } catch (const std::invalid_argument &e) {
-            throw ProtocolError(e.what());
-        }
-    }
-    if (!hierarchy.empty()) {
-        try {
-            base.hierarchy = memsys::parseHierarchySpec(hierarchy);
-        } catch (const std::invalid_argument &e) {
-            throw ProtocolError(e.what());
-        }
-    }
-    if (!scheduler.empty()) {
-        try {
-            base.scheduler = replay::parseSchedulerSpec(scheduler);
-        } catch (const std::invalid_argument &e) {
-            throw ProtocolError(e.what());
-        }
-    }
+    core::AxisInputSet given = 0;
     try {
-        base.sampling.validate();
+        for (std::size_t k = 0; k < axes.size(); ++k) {
+            const core::AxisInput &input = core::kAxisInputs[k];
+            if (axes[k].empty())
+                continue;
+            core::applyAxisInput(input, base, axes[k], input.wireKey);
+            given |= core::AxisInputSet{1} << k;
+        }
+        core::checkAxisCombination(base, given, true);
     } catch (const std::invalid_argument &e) {
         throw ProtocolError(e.what());
+    }
+    base.analyzeRaces = analyzeRaces;
+    if (!(timeoutSeconds >= 0.0))
+        throw ProtocolError("timeout_seconds must be >= 0");
+    base.timeoutSeconds = timeoutSeconds;
+    if (pointsPerOctave != 0.0) {
+        if (!(pointsPerOctave >= 1.0 && pointsPerOctave <= 64.0) ||
+            pointsPerOctave != static_cast<int>(pointsPerOctave))
+            throw ProtocolError(
+                "points_per_octave must be an integer in [1, 64]");
+        base.pointsPerOctave = static_cast<int>(pointsPerOctave);
     }
     return base;
 }
@@ -200,28 +179,21 @@ encodeRequest(const Request &req)
     appendString(out, "op", opName(req.op));
     if (req.op == Op::Study) {
         appendString(out, "preset", req.preset);
-        if (req.sampleRate > 0.0)
-            appendNumber(out, "sample_rate", req.sampleRate);
-        if (req.sampleSize > 0)
-            appendCount(out, "sample_size", req.sampleSize);
+        for (std::size_t k = 0; k < req.axes.size(); ++k) {
+            const core::AxisInput &input = core::kAxisInputs[k];
+            if (req.axes[k].empty())
+                continue;
+            appendField(out, input.wireKey,
+                        input.numeric
+                            ? req.axes[k]
+                            : stats::JsonWriter::quote(req.axes[k]));
+        }
         if (req.analyzeRaces)
             appendBool(out, "analyze_races", true);
-        if (req.timeoutSeconds > 0.0)
+        if (req.timeoutSeconds != 0.0)
             appendNumber(out, "timeout_seconds", req.timeoutSeconds);
-        if (!req.profiler.empty())
-            appendString(out, "profiler", req.profiler);
-        if (!req.protocol.empty())
-            appendString(out, "protocol", req.protocol);
-        if (!req.hierarchy.empty())
-            appendString(out, "hierarchy", req.hierarchy);
-        if (!req.scheduler.empty())
-            appendString(out, "scheduler", req.scheduler);
-        if (req.pointsPerOctave != 0)
-            appendCount(out, "points_per_octave",
-                        static_cast<std::uint64_t>(
-                            req.pointsPerOctave < 0
-                                ? 0
-                                : req.pointsPerOctave));
+        if (req.pointsPerOctave != 0.0)
+            appendNumber(out, "points_per_octave", req.pointsPerOctave);
     }
     out += "}\n";
     return out;
@@ -236,21 +208,19 @@ parseRequest(std::string_view line)
     req.preset = stringField(root, "preset", "");
     if (req.op == Op::Study && req.preset.empty())
         throw ProtocolError("study request needs a preset");
-    req.sampleRate = numberField(root, "sample_rate", 0.0);
-    double size = numberField(root, "sample_size", 0.0);
-    if (size < 0.0)
-        throw ProtocolError("sample_size must be >= 0");
-    req.sampleSize = static_cast<std::uint64_t>(size);
+    for (std::size_t k = 0; k < req.axes.size(); ++k) {
+        const core::AxisInput &input = core::kAxisInputs[k];
+        if (!input.numeric) {
+            req.axes[k] = stringField(root, input.wireKey, "");
+            continue;
+        }
+        double v = numberField(root, input.wireKey, 0.0);
+        if (v != 0.0)
+            req.axes[k] = stats::JsonWriter::formatDouble(v);
+    }
     req.analyzeRaces = boolField(root, "analyze_races", false);
     req.timeoutSeconds = numberField(root, "timeout_seconds", 0.0);
-    req.profiler = stringField(root, "profiler", "");
-    req.protocol = stringField(root, "protocol", "");
-    req.hierarchy = stringField(root, "hierarchy", "");
-    req.scheduler = stringField(root, "scheduler", "");
-    double ppo = numberField(root, "points_per_octave", 0.0);
-    if (ppo < 0.0)
-        throw ProtocolError("points_per_octave must be >= 0");
-    req.pointsPerOctave = static_cast<int>(ppo);
+    req.pointsPerOctave = numberField(root, "points_per_octave", 0.0);
     return req;
 }
 

@@ -9,14 +9,15 @@
  *   {"op":"study","preset":"fig5-fft-radix8", ...overrides}\n
  *
  * ops: "study" (requires "preset"), "stats", "ping", "shutdown".
- * Study overrides — "sample_rate" (fixed-rate sampling), "sample_size"
- * (fixed-size sampling; mutually exclusive with sample_rate),
- * "analyze_races" (bool), "timeout_seconds", "profiler"
- * (tree-mattson | aet; any other name is a bad_request), "protocol"
- * (write-invalidate | write-update | mi | msi | mesi), "hierarchy"
- * (single | incl:<l1>:<l2> | excl:<l1>:<l2>), "scheduler" (static |
- * round-robin | steal[:rRATE][:sSEED]) and "points_per_octave" —
- * mirror the runner CLI. The preset itself may carry a variant suffix
+ * Study overrides mirror the runner CLI: the axis wire keys of
+ * core/study_axes.hh — "sample_rate" and "sample_size" (numbers;
+ * mutually exclusive), "profiler", "protocol", "hierarchy" and
+ * "scheduler" (label strings) — plus "analyze_races" (bool),
+ * "timeout_seconds" and "points_per_octave". A 0 or "" override is
+ * the default. A value of the wrong JSON type is a malformed request;
+ * a value the study rejects (an unknown protocol, a fractional
+ * sample_size) is a bad request, answered on a live connection. The
+ * preset itself may carry a variant suffix
  * ("fig2-lu-B16@size=small@line=32", see core/suite), which is how the
  * campaign driver sweeps problem and line sizes over the same wire
  * format.
@@ -44,12 +45,13 @@
 #ifndef WSG_SERVE_PROTOCOL_HH
 #define WSG_SERVE_PROTOCOL_HH
 
+#include <array>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 
-#include "core/working_set_study.hh"
+#include "core/study_axes.hh"
 #include "serve/study_service.hh"
 
 namespace wsg::serve
@@ -80,27 +82,25 @@ struct Request
     Op op = Op::Ping;
     /** Preset name (Op::Study). */
     std::string preset;
-    /** > 0 selects fixed-rate spatial sampling. */
-    double sampleRate = 0.0;
-    /** > 0 selects fixed-size spatial sampling. */
-    std::uint64_t sampleSize = 0;
+    /**
+     * Axis overrides as wire values, indexed like the wire inputs that
+     * lead core::kAxisInputs; "" = absent, i.e. the axis default.
+     * Numeric inputs hold JSON number text ("0.25"). Values are
+     * checked by studyConfig(), not when set or parsed.
+     */
+    std::array<std::string, core::kWireInputCount> axes;
     bool analyzeRaces = false;
     /** > 0 arms the per-study watchdog. */
     double timeoutSeconds = 0.0;
-    /** Miss-rate-curve construction name; "" = the default
-     *  (tree-mattson). */
-    std::string profiler;
-    /** > 0 overrides the sweep resolution. */
-    int pointsPerOctave = 0;
-    /** Coherence protocol name; "" = the default (write-invalidate). */
-    std::string protocol;
-    /** Node hierarchy spec; "" = the default (single-level). */
-    std::string hierarchy;
-    /** Replay scheduler label; "" = the default (static). */
-    std::string scheduler;
+    /** > 0 overrides the sweep resolution (an integer in [1, 64]). */
+    double pointsPerOctave = 0.0;
+
+    /** The wire value of the axis input with wire key @p key.
+     *  @throws std::invalid_argument on an unknown key. */
+    std::string &axis(std::string_view key);
 
     /** The cross-cutting StudyConfig these overrides describe.
-     *  @throws ProtocolError on invalid combinations. */
+     *  @throws ProtocolError on a bad value or combination. */
     core::StudyConfig studyConfig() const;
 };
 

@@ -31,6 +31,7 @@
  * 3 rejected as overloaded after all retries.
  */
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -40,6 +41,7 @@
 
 #include "serve/backoff.hh"
 #include "serve/protocol.hh"
+#include "stats/json_report.hh"
 
 using namespace wsg;
 
@@ -101,6 +103,10 @@ parseCli(int argc, char **argv)
                 usage(std::string(flag) + " needs a value");
             return argv[++i];
         };
+        // The axis flags that have a wire key set the request's axes.
+        std::size_t k = 0;
+        while (k < core::kWireInputCount && arg != core::kAxisInputs[k].flag)
+            ++k;
         if (arg == "--socket") {
             cli.socket = next("--socket");
         } else if (arg == "--out") {
@@ -115,28 +121,14 @@ parseCli(int argc, char **argv)
             cli.op = serve::Op::Ping;
         } else if (arg == "--shutdown") {
             cli.op = serve::Op::Shutdown;
-        } else if (arg == "--sample-rate") {
-            cli.req.sampleRate =
-                parsePositive(arg, next("--sample-rate"));
-        } else if (arg == "--sample-size") {
-            cli.req.sampleSize = static_cast<std::uint64_t>(
-                parsePositive(arg, next("--sample-size")));
         } else if (arg == "--analyze-races") {
             cli.req.analyzeRaces = true;
         } else if (arg == "--timeout") {
             cli.req.timeoutSeconds =
                 parsePositive(arg, next("--timeout"));
-        } else if (arg == "--profiler") {
-            cli.req.profiler = next("--profiler");
-        } else if (arg == "--protocol") {
-            cli.req.protocol = next("--protocol");
-        } else if (arg == "--hierarchy") {
-            cli.req.hierarchy = next("--hierarchy");
-        } else if (arg == "--scheduler") {
-            cli.req.scheduler = next("--scheduler");
         } else if (arg == "--points-per-octave") {
-            cli.req.pointsPerOctave = static_cast<int>(
-                parsePositive(arg, next("--points-per-octave")));
+            cli.req.pointsPerOctave =
+                std::floor(parsePositive(arg, next("--points-per-octave")));
         } else if (arg == "--retries") {
             std::string v = next("--retries");
             std::size_t pos = 0;
@@ -152,6 +144,12 @@ parseCli(int argc, char **argv)
         } else if (arg == "--backoff-ms") {
             cli.retry.baseBackoffMs = static_cast<unsigned>(
                 parsePositive(arg, next("--backoff-ms")));
+        } else if (k < core::kWireInputCount) {
+            std::string &value = cli.req.axes[k];
+            value = next(arg.c_str());
+            if (core::kAxisInputs[k].numeric)
+                value = stats::JsonWriter::formatDouble(
+                    parsePositive(arg, value));
         } else if (!arg.empty() && arg[0] == '-') {
             usage("unknown argument '" + arg + "'");
         } else if (cli.preset.empty()) {

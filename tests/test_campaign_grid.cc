@@ -40,10 +40,10 @@ TEST(CampaignGrid, ParsesEveryAxis)
     EXPECT_EQ(spec.sizes[0], core::ProblemSize::Small);
     EXPECT_EQ(spec.lineBytes.size(), 2u);
     EXPECT_EQ(spec.pointsPerOctave.size(), 1u);
-    EXPECT_EQ(spec.profilers.size(), 2u);
-    ASSERT_EQ(spec.sampling.size(), 3u);
-    EXPECT_EQ(spec.sampling[1].label, "rate:0.25");
-    EXPECT_EQ(spec.sampling[2].config.maxLines, 4096u);
+    EXPECT_EQ(spec.axes[core::kProfilerAxis].size(), 2u);
+    EXPECT_EQ(spec.axes[core::kSamplingAxis],
+              (std::vector<std::string>{"exact", "rate:0.25",
+                                        "size:4096"}));
     EXPECT_TRUE(spec.analyzeRaces);
     EXPECT_DOUBLE_EQ(spec.timeoutSeconds, 30.0);
 }
@@ -55,8 +55,8 @@ TEST(CampaignGrid, DefaultsAreSingletonAxes)
     EXPECT_TRUE(spec.presets.empty()); // = the whole suite
     EXPECT_EQ(spec.sizes.size(), 1u);
     EXPECT_EQ(spec.lineBytes, std::vector<std::uint32_t>{0});
-    EXPECT_EQ(spec.sampling.size(), 1u);
-    EXPECT_EQ(spec.sampling[0].label, "exact");
+    for (const std::vector<std::string> &labels : spec.axes)
+        EXPECT_TRUE(labels.empty()); // = the axis default alone
 
     Grid grid = expandGrid(spec);
     EXPECT_EQ(grid.entries.size(), core::figureSuiteNames().size());
@@ -97,20 +97,47 @@ TEST(CampaignGrid, RejectsMalformedSpecs)
         parseGridSpec(
             R"({"schema":"wsg-campaign-grid-v1","profilers":["list"]})"),
         CampaignError);
+    // Line sizes must be integers a uint32 holds; no out-of-range
+    // cast decides it.
+    for (const char *lines : {"[4.5]", "[4294967296]", "[1e30]"})
+        EXPECT_THROW(parseGridSpec(std::string(R"({"schema":)"
+                                               R"("wsg-campaign-grid-v1",)"
+                                               R"("line_bytes":)") +
+                                   lines + "}"),
+                     CampaignError)
+            << lines;
+    EXPECT_THROW(
+        parseGridSpec(
+            R"({"schema":"wsg-campaign-grid-v1","sampling":["size:2.5"]})"),
+        CampaignError);
+    EXPECT_THROW(
+        parseGridSpec(
+            R"({"schema":"wsg-campaign-grid-v1","schedulers":["steal:r2"]})"),
+        CampaignError);
 }
 
 TEST(CampaignGrid, SamplingPointSpellings)
 {
-    EXPECT_EQ(parseSamplingPoint("exact").label, "exact");
-    SamplingPoint rate = parseSamplingPoint("rate:0.5");
-    EXPECT_DOUBLE_EQ(rate.config.rate, 0.5);
-    SamplingPoint size = parseSamplingPoint("size:1024");
-    EXPECT_EQ(size.config.maxLines, 1024u);
-    EXPECT_THROW(parseSamplingPoint("rate:0"), CampaignError);
-    EXPECT_THROW(parseSamplingPoint("rate:1.5"), CampaignError);
-    EXPECT_THROW(parseSamplingPoint("rate:x"), CampaignError);
-    EXPECT_THROW(parseSamplingPoint("size:0"), CampaignError);
-    EXPECT_THROW(parseSamplingPoint("random"), CampaignError);
+    using approx::parseSamplingLabel;
+    EXPECT_FALSE(parseSamplingLabel("exact").enabled());
+    approx::SamplingConfig rate = parseSamplingLabel("rate:0.5");
+    EXPECT_EQ(rate.mode, approx::SamplingMode::FixedRate);
+    EXPECT_DOUBLE_EQ(rate.rate, 0.5);
+    approx::SamplingConfig size = parseSamplingLabel("size:1024");
+    EXPECT_EQ(size.mode, approx::SamplingMode::FixedSize);
+    EXPECT_EQ(size.maxLines, 1024u);
+    EXPECT_EQ(approx::samplingLabel(parseSamplingLabel("rate:0.50")),
+              "rate:0.5");
+    EXPECT_EQ(approx::samplingLabel(size), "size:1024");
+    EXPECT_EQ(approx::samplingLabel({}), "exact");
+    for (const char *bad :
+         {"rate:0", "rate:1.5", "rate:x", "rate:", "size:0", "size:",
+          "size:-3", "size:2.5", "size:1e+30",
+          "size:18446744073709551616", "random"})
+        EXPECT_THROW(parseSamplingLabel(bad), std::invalid_argument)
+            << bad;
+    EXPECT_EQ(parseSamplingLabel("size:18446744073709551615").maxLines,
+              18446744073709551615u);
 }
 
 TEST(CampaignGrid, ExpansionSkipsInfeasibleAndFilters)
@@ -119,10 +146,8 @@ TEST(CampaignGrid, ExpansionSkipsInfeasibleAndFilters)
     spec.presets = {"fig2-lu-B16", "fig4-cg-2d"};
     spec.sizes = {core::ProblemSize::Small, core::ProblemSize::Base};
     spec.lineBytes = {16, 32};
-    spec.profilers = {memsys::ProfilerKind::TreeMattson,
-                      memsys::ProfilerKind::Aet};
-    spec.sampling = {parseSamplingPoint("exact"),
-                     parseSamplingPoint("rate:0.25")};
+    spec.axes[core::kProfilerAxis] = {"tree-mattson", "aet"};
+    spec.axes[core::kSamplingAxis] = {"exact", "rate:0.25"};
 
     Grid grid = expandGrid(spec);
     // 2*2*2 axis points, each with tree x {exact, rate} + aet x exact;
@@ -194,8 +219,7 @@ TEST(CampaignGrid, NamesEncodeNonDefaultAxesOnly)
 
     spec.sizes = {core::ProblemSize::Large};
     spec.pointsPerOctave = {2};
-    spec.profilers = {memsys::ProfilerKind::Aet};
-    spec.sampling = {parseSamplingPoint("exact")};
+    spec.axes[core::kProfilerAxis] = {"aet"};
     Grid qualified = expandGrid(spec);
     ASSERT_EQ(qualified.entries.size(), 1u);
     EXPECT_EQ(qualified.entries[0].name,
@@ -211,26 +235,26 @@ TEST(CampaignGrid, MachineAxesExpandNormalizeAndName)
         "hierarchies": ["single", "incl:4096:65536"]})");
     // Short spellings normalize through the real parsers at parse
     // time, so labels and hashes are canonical.
-    ASSERT_EQ(spec.protocols.size(), 2u);
-    EXPECT_EQ(spec.protocols[0], "write-invalidate");
-    EXPECT_EQ(spec.protocols[1], "mesi");
-    ASSERT_EQ(spec.hierarchies.size(), 2u);
-    EXPECT_EQ(spec.hierarchies[1], "incl:4096:65536");
+    EXPECT_EQ(spec.axes[core::kProtocolAxis],
+              (std::vector<std::string>{"write-invalidate", "mesi"}));
+    EXPECT_EQ(spec.axes[core::kHierarchyAxis],
+              (std::vector<std::string>{"single", "incl:4096:65536"}));
 
     Grid grid = expandGrid(spec);
     ASSERT_EQ(grid.entries.size(), 4u);
     // Default axes stay out of names and requests; non-default ones
     // appear as @proto= / @hier= segments in axis order.
     EXPECT_EQ(grid.entries[0].name, "fig2-lu-B16");
-    EXPECT_TRUE(grid.entries[0].request.protocol.empty());
-    EXPECT_TRUE(grid.entries[0].request.hierarchy.empty());
+    EXPECT_TRUE(grid.entries[0].request.axis("protocol").empty());
+    EXPECT_TRUE(grid.entries[0].request.axis("hierarchy").empty());
     EXPECT_EQ(grid.entries[1].name,
               "fig2-lu-B16@hier=incl:4096:65536");
     EXPECT_EQ(grid.entries[2].name, "fig2-lu-B16@proto=mesi");
     EXPECT_EQ(grid.entries[3].name,
               "fig2-lu-B16@proto=mesi@hier=incl:4096:65536");
-    EXPECT_EQ(grid.entries[3].request.protocol, "mesi");
-    EXPECT_EQ(grid.entries[3].request.hierarchy, "incl:4096:65536");
+    EXPECT_EQ(grid.entries[3].request.axis("protocol"), "mesi");
+    EXPECT_EQ(grid.entries[3].request.axis("hierarchy"),
+              "incl:4096:65536");
 
     std::set<std::string> hashes;
     for (const CampaignEntry &entry : grid.entries)

@@ -250,8 +250,8 @@ TEST(CampaignReport, MachineAxesSurviveTheRoundTrip)
     CampaignEntry plain = entry("appA", "h1");
     CampaignEntry mach = entry("appA", "h2");
     mach.name = "appA@proto=mesi@hier=incl:4096:65536";
-    mach.protocol = "mesi";
-    mach.hierarchy = "incl:4096:65536";
+    mach.axes[core::kProtocolAxis] = "mesi";
+    mach.axes[core::kHierarchyAxis] = "incl:4096:65536";
     grid.entries.push_back(plain);
     grid.entries.push_back(mach);
     CampaignResult result;

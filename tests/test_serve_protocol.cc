@@ -55,7 +55,7 @@ TEST(ServeProtocol, RequestRoundTrip)
     Request req;
     req.op = Op::Study;
     req.preset = "fig5-fft-radix8";
-    req.sampleRate = 0.25;
+    req.axis("sample_rate") = "0.25";
     req.analyzeRaces = true;
     req.timeoutSeconds = 30.0;
 
@@ -67,8 +67,8 @@ TEST(ServeProtocol, RequestRoundTrip)
         std::string_view(line).substr(0, line.size() - 1));
     EXPECT_EQ(back.op, Op::Study);
     EXPECT_EQ(back.preset, "fig5-fft-radix8");
-    EXPECT_DOUBLE_EQ(back.sampleRate, 0.25);
-    EXPECT_EQ(back.sampleSize, 0u);
+    EXPECT_EQ(back.axis("sample_rate"), "0.25");
+    EXPECT_EQ(back.axis("sample_size"), "");
     EXPECT_TRUE(back.analyzeRaces);
     EXPECT_DOUBLE_EQ(back.timeoutSeconds, 30.0);
 }
@@ -94,6 +94,17 @@ TEST(ServeProtocol, MalformedRequestsThrow)
         parseRequest("{\"op\":\"study\",\"preset\":\"x\","
                      "\"sample_rate\":\"fast\"}"),
         ProtocolError);
+    // A wrong JSON type is malformed (the server drops the connection).
+    for (const char *key : {"sample_size", "points_per_octave",
+                            "timeout_seconds"})
+        EXPECT_THROW(parseRequest(std::string(R"({"op":"study",)") +
+                                  R"("preset":"x",")" + key +
+                                  R"(":"4"})"),
+                     ProtocolError)
+            << key;
+    EXPECT_THROW(parseRequest(R"({"op":"study","preset":"x",)"
+                              R"("protocol":4})"),
+                 ProtocolError);
     // The removed list-Mattson construction is an unknown kind.
     EXPECT_THROW(parseRequest("{\"op\":\"study\",\"preset\":\"x\","
                               "\"profiler\":\"list-mattson\"}")
@@ -106,11 +117,11 @@ TEST(ServeProtocol, RequestConfigRejectsConflictingSampling)
     Request req;
     req.op = Op::Study;
     req.preset = "x";
-    req.sampleRate = 0.5;
-    req.sampleSize = 128;
+    req.axis("sample_rate") = "0.5";
+    req.axis("sample_size") = "128";
     EXPECT_THROW(req.studyConfig(), ProtocolError);
 
-    req.sampleSize = 0;
+    req.axis("sample_size").clear();
     core::StudyConfig config = req.studyConfig();
     EXPECT_EQ(config.sampling.mode, approx::SamplingMode::FixedRate);
     EXPECT_DOUBLE_EQ(config.sampling.rate, 0.5);
@@ -121,12 +132,12 @@ TEST(ServeProtocol, MachineAxesRoundTripAndMapToStudyConfig)
     Request req;
     req.op = Op::Study;
     req.preset = "x";
-    req.protocol = "mesi";
-    req.hierarchy = "excl:4096:65536";
+    req.axis("protocol") = "mesi";
+    req.axis("hierarchy") = "excl:4096:65536";
 
     Request back = parseRequest(encodeRequest(req));
-    EXPECT_EQ(back.protocol, "mesi");
-    EXPECT_EQ(back.hierarchy, "excl:4096:65536");
+    EXPECT_EQ(back.axis("protocol"), "mesi");
+    EXPECT_EQ(back.axis("hierarchy"), "excl:4096:65536");
 
     core::StudyConfig config = back.studyConfig();
     EXPECT_EQ(config.protocol, sim::CoherenceProtocol::Mesi);
@@ -149,8 +160,8 @@ TEST(ServeProtocol, DefaultMachineAxesStayOffTheWire)
     EXPECT_EQ(line.find("hierarchy"), std::string::npos);
 
     Request back = parseRequest(line);
-    EXPECT_TRUE(back.protocol.empty());
-    EXPECT_TRUE(back.hierarchy.empty());
+    EXPECT_TRUE(back.axis("protocol").empty());
+    EXPECT_TRUE(back.axis("hierarchy").empty());
     core::StudyConfig config = back.studyConfig();
     EXPECT_EQ(config.protocol, sim::CoherenceProtocol::WriteInvalidate);
     EXPECT_FALSE(config.hierarchy.twoLevel());
@@ -161,12 +172,58 @@ TEST(ServeProtocol, BadMachineAxesBecomeProtocolErrors)
     Request req;
     req.op = Op::Study;
     req.preset = "x";
-    req.protocol = "moesi";
+    req.axis("protocol") = "moesi";
     EXPECT_THROW(req.studyConfig(), ProtocolError);
 
-    req.protocol = "";
-    req.hierarchy = "incl:65536:4096";
+    req.axis("protocol") = "";
+    req.axis("hierarchy") = "incl:65536:4096";
     EXPECT_THROW(req.studyConfig(), ProtocolError);
+
+    // Well-typed values the study rejects are bad requests, caught by
+    // studyConfig() (so the server answers on a live connection), with
+    // a message naming the wire key.
+    auto rejects = [](const std::string &line, const std::string &why) {
+        Request bad = parseRequest(line);
+        try {
+            bad.studyConfig();
+            ADD_FAILURE() << line << " was accepted";
+        } catch (const ProtocolError &e) {
+            EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+                << line << ": " << e.what();
+        }
+    };
+    const std::string study = R"({"op":"study","preset":"x",)";
+    rejects(study + R"("sample_size":1e30})",
+            "sample_size needs a positive line count, got '1e+30'");
+    rejects(study + R"("sample_size":2.5})",
+            "sample_size needs a positive line count, got '2.5'");
+    rejects(study + R"("sample_size":-3})", "sample_size needs");
+    rejects(study + R"("sample_size":18446744073709551616})",
+            "sample_size needs");
+    rejects(study + R"("sample_rate":-0.5})",
+            "sample_rate needs a rate in (0, 1], got '-0.5'");
+    rejects(study + R"("sample_rate":1.5})", "sample_rate needs");
+    rejects(study + R"("sample_rate":0.5,"sample_size":64})",
+            "sample_rate and sample_size are mutually exclusive");
+    rejects(study + R"("profiler":"aet","sample_rate":0.5})",
+            "profiler aet does not compose with sampling");
+    rejects(study + R"("points_per_octave":4.7})",
+            "points_per_octave must be an integer in [1, 64]");
+    rejects(study + R"("points_per_octave":4294967300})",
+            "points_per_octave must be an integer in [1, 64]");
+    rejects(study + R"("points_per_octave":-2})", "points_per_octave");
+    rejects(study + R"("timeout_seconds":-1})",
+            "timeout_seconds must be >= 0");
+    rejects(study + R"("scheduler":"steal:r2"})", "scheduler: ");
+
+    // The largest exact sizes and zero (= the default) still pass.
+    EXPECT_EQ(parseRequest(study + R"("sample_size":9007199254740992})")
+                  .studyConfig()
+                  .sampling.maxLines,
+              9007199254740992u);
+    EXPECT_FALSE(parseRequest(study + R"("sample_size":0})")
+                     .studyConfig()
+                     .sampling.enabled());
 }
 
 TEST(ServeProtocol, ResponseHeaderRoundTrip)
@@ -267,6 +324,16 @@ TEST(ServeProtocol, EndToEndOverUnixSocket)
     EXPECT_DOUBLE_EQ(parsed.at("mem_hits").asNumber(), 1.0);
     EXPECT_DOUBLE_EQ(parsed.at("misses").asNumber(), 1.0);
     EXPECT_DOUBLE_EQ(parsed.at("bad_requests").asNumber(), 1.0);
+
+    // a well-typed value the study rejects -> bad_request naming the
+    // wire key, and the connection stays usable
+    Request fractional = study;
+    fractional.axis("sample_size") = "2.5";
+    Reply bad_value = roundTrip(fd, fractional);
+    EXPECT_EQ(bad_value.header.status, "bad_request");
+    EXPECT_NE(bad_value.header.error.find("sample_size"),
+              std::string::npos);
+    EXPECT_EQ(roundTrip(fd, ping).header.status, "ok");
 
     // shutdown drains the server; wait() returns
     Request shutdown;

@@ -39,6 +39,7 @@
 
 #include <unistd.h>
 
+#include "approx/sampling.hh"
 #include "bench_util.hh"
 #include "core/suite.hh"
 #include "serve/protocol.hh"
@@ -173,7 +174,17 @@ main(int argc, char **argv)
         } else if (arg == "--exact") {
             base.axis("sample_size").clear();
         } else if (arg == "--sample-size" && i + 1 < argc) {
-            base.axis("sample_size") = argv[++i];
+            // Checked as a size:N label and sent as canonical digits
+            // ("007" goes out as the JSON number 7).
+            try {
+                base.axis("sample_size") =
+                    std::to_string(approx::parseSamplingLabel(
+                                       std::string("size:") + argv[++i])
+                                       .maxLines);
+            } catch (const std::invalid_argument &e) {
+                std::cerr << "error: --sample-size: " << e.what() << "\n";
+                return 2;
+            }
         } else {
             std::cerr << "error: unknown argument '" << arg
                       << "' (flags: --clients K, --exact, "

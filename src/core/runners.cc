@@ -36,7 +36,8 @@ simConfigFor(std::uint32_t num_procs, std::uint32_t line_bytes,
 }
 
 /**
- * The per-study sink chain: the Multiprocessor innermost, optionally
+ * The per-study machine and sink chain. It owns the study's address
+ * space and Multiprocessor; the Multiprocessor is innermost, optionally
  * teed into a RaceDetector (StudyConfig::analyzeRaces — the detector
  * sees the exact reference and sync-event stream the caches see,
  * warm-up included, since a warm-up race is still a bug), fronted by a
@@ -50,31 +51,32 @@ simConfigFor(std::uint32_t num_procs, std::uint32_t line_bytes,
  * reference. Batching is invisible to the results: the buffer is
  * drained before every point where simulator state is read or its mode
  * toggled — sync events (inside BatchingSink), measurement switches
- * (setMeasuring), phase boundaries (checkDeadline) and study
- * completion (finish).
+ * (setMeasuring) and study completion (finish).
  */
 class SinkChain
 {
   public:
-    SinkChain(sim::Multiprocessor &mp,
-              const trace::SharedAddressSpace &space,
+    /** @p study must outlive the chain. */
+    SinkChain(std::uint32_t num_procs, std::uint32_t line_bytes,
               const StudyConfig &study)
-        : watchdog_(study.timeoutSeconds), mp_(mp), sink_(&mp)
+        : study_(study), mp_(simConfigFor(num_procs, line_bytes, study)),
+          watchdog_(study.timeoutSeconds), sink_(&mp_)
     {
+        mp_.attachAddressSpace(&space);
         if (study.analyzeRaces) {
             analysis::RaceConfig config;
-            config.numProcs = mp.config().numProcs;
+            config.numProcs = num_procs;
             detector_ =
                 std::make_unique<analysis::RaceDetector>(config);
             detector_->attachAddressSpace(&space);
-            tee_ = std::make_unique<trace::TeeSink>(mp, *detector_);
+            tee_ = std::make_unique<trace::TeeSink>(mp_, *detector_);
             sink_ = tee_.get();
         }
         // Always present: the static default takes the identity fast
         // path, so an unscheduled study's bytes and speed are
         // unchanged while the scheduler axis is exercised everywhere.
         scheduler_ = std::make_unique<replay::ScheduledReplaySink>(
-            *sink_, study.scheduler, mp.config().numProcs);
+            *sink_, study.scheduler, num_procs);
         sink_ = scheduler_.get();
         if (watchdog_.enabled()) {
             guard_ =
@@ -84,6 +86,12 @@ class SinkChain
         batcher_ = std::make_unique<trace::BatchingSink>(*sink_);
         sink_ = batcher_.get();
     }
+
+    SinkChain(const SinkChain &) = delete;
+    SinkChain &operator=(const SinkChain &) = delete;
+
+    /** Where the application lays out its data. */
+    trace::SharedAddressSpace space;
 
     /** Sink to hand the application. */
     trace::MemorySink *sink() const { return sink_; }
@@ -97,20 +105,20 @@ class SinkChain
         mp_.setMeasuring(measuring);
     }
 
-    /** Explicit deadline check between study phases; drains the buffer
-     *  so the downstream simulator state is complete. */
-    void
-    checkDeadline()
+    /**
+     * End of the run: drain the buffer so the simulator state is
+     * complete, check the deadline, analyze the working sets, check
+     * the deadline again and stamp the race and scheduler outcome into
+     * the result.
+     */
+    StudyResult
+    finish(Metric metric, std::uint64_t total_flops,
+           const std::string &name)
     {
         batcher_->flush();
         watchdog_.check();
-    }
-
-    /** Final deadline check + stamp the race outcome into the result. */
-    StudyResult
-    finish(StudyResult result)
-    {
-        batcher_->flush();
+        StudyResult result =
+            analyzeWorkingSets(mp_, study_, metric, total_flops, name);
         watchdog_.check();
         if (detector_ != nullptr)
             result.races = detector_->result();
@@ -121,8 +129,9 @@ class SinkChain
     }
 
   private:
+    const StudyConfig &study_;
+    sim::Multiprocessor mp_;
     StudyWatchdog watchdog_;
-    sim::Multiprocessor &mp_;
     std::unique_ptr<analysis::RaceDetector> detector_;
     std::unique_ptr<trace::TeeSink> tee_;
     std::unique_ptr<replay::ScheduledReplaySink> scheduler_;
@@ -159,23 +168,18 @@ void
 appendStudyConfig(std::string &out, const StudyConfig &study,
                   std::uint32_t line_bytes)
 {
-    out += "line_bytes=" + std::to_string(line_bytes) + "\n";
-    out += "min_cache_bytes=" + std::to_string(study.minCacheBytes) +
-           "\n";
-    out += "max_cache_bytes=" + std::to_string(study.maxCacheBytes) +
-           "\n";
-    out += "points_per_octave=" +
-           std::to_string(study.pointsPerOctave) + "\n";
-    out += "include_cold=" +
-           std::to_string(study.includeCold ? 1 : 0) + "\n";
-    out += "knee_min_step_drop=" +
-           canonicalDouble(study.knee.minStepDrop) + "\n";
-    out += "knee_min_knee_factor=" +
-           canonicalDouble(study.knee.minKneeFactor) + "\n";
-    out += "knee_rate_floor=" + canonicalDouble(study.knee.rateFloor) +
-           "\n";
-    out += "analyze_races=" +
-           std::to_string(study.analyzeRaces ? 1 : 0) + "\n";
+    auto line = [&out](std::string_view key, const std::string &value) {
+        appendConfigLine(out, key, value);
+    };
+    line("line_bytes", std::to_string(line_bytes));
+    line("min_cache_bytes", std::to_string(study.minCacheBytes));
+    line("max_cache_bytes", std::to_string(study.maxCacheBytes));
+    line("points_per_octave", std::to_string(study.pointsPerOctave));
+    line("include_cold", std::to_string(study.includeCold ? 1 : 0));
+    line("knee_min_step_drop", canonicalDouble(study.knee.minStepDrop));
+    line("knee_min_knee_factor", canonicalDouble(study.knee.minKneeFactor));
+    line("knee_rate_floor", canonicalDouble(study.knee.rateFloor));
+    line("analyze_races", std::to_string(study.analyzeRaces ? 1 : 0));
     for (const StudyAxis &axis : kStudyAxes)
         axis.appendCanonical(out, study);
 }
@@ -196,18 +200,12 @@ luStudyJob(const apps::lu::LuConfig &app_config,
         "\nproc_cols=" + std::to_string(app_config.procCols) + "\n";
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
     job.body = [app_config, study, line_bytes, name = job.name]() {
-        trace::SharedAddressSpace space;
-        sim::Multiprocessor mp(
-            simConfigFor(app_config.numProcs(), line_bytes, study));
-        mp.attachAddressSpace(&space);
-        SinkChain chain(mp, space, study);
-        apps::lu::BlockedLu app(app_config, space, chain.sink());
+        SinkChain chain(app_config.numProcs(), line_bytes, study);
+        apps::lu::BlockedLu app(app_config, chain.space, chain.sink());
         app.randomize(1234);
         app.factor();
-        chain.checkDeadline();
-        return chain.finish(analyzeWorkingSets(
-            mp, study, Metric::MissesPerFlop, app.flops().totalFlops(),
-            name));
+        return chain.finish(Metric::MissesPerFlop,
+                            app.flops().totalFlops(), name);
     };
     return job;
 }
@@ -232,12 +230,8 @@ cgStudyJob(const apps::cg::CgConfig &app_config, std::uint32_t iters,
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
     job.body = [app_config, iters, warmup_iters, study, line_bytes,
                 name = job.name]() {
-        trace::SharedAddressSpace space;
-        sim::Multiprocessor mp(
-            simConfigFor(app_config.numProcs(), line_bytes, study));
-        mp.attachAddressSpace(&space);
-        SinkChain chain(mp, space, study);
-        apps::cg::GridCg app(app_config, space, chain.sink());
+        SinkChain chain(app_config.numProcs(), line_bytes, study);
+        apps::cg::GridCg app(app_config, chain.space, chain.sink());
         app.buildSystem();
 
         chain.setMeasuring(false);
@@ -246,10 +240,8 @@ cgStudyJob(const apps::cg::CgConfig &app_config, std::uint32_t iters,
         chain.setMeasuring(true);
         app.run(iters, 0.0);
 
-        chain.checkDeadline();
-        return chain.finish(analyzeWorkingSets(
-            mp, study, Metric::MissesPerFlop,
-            app.flops().totalFlops() - warm_flops, name));
+        return chain.finish(Metric::MissesPerFlop,
+                            app.flops().totalFlops() - warm_flops, name);
     };
     return job;
 }
@@ -272,12 +264,8 @@ fftStudyJob(const apps::fft::FftConfig &app_config,
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
     job.body = [app_config, transforms, warmup_transforms, study,
                 line_bytes, name = job.name]() {
-        trace::SharedAddressSpace space;
-        sim::Multiprocessor mp(
-            simConfigFor(app_config.numProcs, line_bytes, study));
-        mp.attachAddressSpace(&space);
-        SinkChain chain(mp, space, study);
-        apps::fft::ParallelFft app(app_config, space, chain.sink());
+        SinkChain chain(app_config.numProcs, line_bytes, study);
+        apps::fft::ParallelFft app(app_config, chain.space, chain.sink());
         for (std::uint64_t i = 0; i < app_config.N(); ++i)
             app.setInput(i, {std::sin(0.001 * static_cast<double>(i)),
                              std::cos(0.003 * static_cast<double>(i))});
@@ -290,10 +278,8 @@ fftStudyJob(const apps::fft::FftConfig &app_config,
         for (std::uint32_t t = 0; t < transforms; ++t)
             app.forward();
 
-        chain.checkDeadline();
-        return chain.finish(analyzeWorkingSets(
-            mp, study, Metric::MissesPerFlop,
-            app.flops().totalFlops() - warm_flops, name));
+        return chain.finish(Metric::MissesPerFlop,
+                            app.flops().totalFlops() - warm_flops, name);
     };
     return job;
 }
@@ -320,12 +306,8 @@ barnesStudyJob(const apps::barnes::BarnesConfig &app_config,
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
     job.body = [app_config, steps, warmup_steps, study, line_bytes,
                 name = job.name]() {
-        trace::SharedAddressSpace space;
-        sim::Multiprocessor mp(
-            simConfigFor(app_config.numProcs, line_bytes, study));
-        mp.attachAddressSpace(&space);
-        SinkChain chain(mp, space, study);
-        apps::barnes::BarnesHut app(app_config, space, chain.sink());
+        SinkChain chain(app_config.numProcs, line_bytes, study);
+        apps::barnes::BarnesHut app(app_config, chain.space, chain.sink());
         app.initPlummer();
 
         chain.setMeasuring(false);
@@ -335,9 +317,7 @@ barnesStudyJob(const apps::barnes::BarnesConfig &app_config,
         for (std::uint32_t s = 0; s < steps; ++s)
             app.step();
 
-        chain.checkDeadline();
-        return chain.finish(analyzeWorkingSets(
-            mp, study, Metric::ReadMissRate, 0, name));
+        return chain.finish(Metric::ReadMissRate, 0, name);
     };
     return job;
 }
@@ -370,15 +350,11 @@ volrendStudyJob(const apps::volrend::VolumeDims &dims,
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
     job.body = [dims, render, frames, warmup_frames, study, line_bytes,
                 name = job.name]() {
-        trace::SharedAddressSpace space;
-        sim::Multiprocessor mp(
-            simConfigFor(render.numProcs, line_bytes, study));
-        mp.attachAddressSpace(&space);
-        SinkChain chain(mp, space, study);
-        apps::volrend::Volume vol(dims, space, chain.sink());
+        SinkChain chain(render.numProcs, line_bytes, study);
+        apps::volrend::Volume vol(dims, chain.space, chain.sink());
         vol.buildHeadPhantom();
         vol.buildOctree();
-        apps::volrend::Renderer renderer(render, vol, space,
+        apps::volrend::Renderer renderer(render, vol, chain.space,
                                          chain.sink());
 
         chain.setMeasuring(false);
@@ -388,9 +364,7 @@ volrendStudyJob(const apps::volrend::VolumeDims &dims,
         for (std::uint32_t f = 0; f < frames; ++f)
             renderer.renderFrame();
 
-        chain.checkDeadline();
-        return chain.finish(analyzeWorkingSets(
-            mp, study, Metric::ReadMissRate, 0, name));
+        return chain.finish(Metric::ReadMissRate, 0, name);
     };
     return job;
 }
@@ -410,18 +384,12 @@ choleskyStudyJob(const apps::lu::LuConfig &app_config,
         std::to_string(app_config.procCols) + "\n";
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
     job.body = [app_config, study, line_bytes, name = job.name]() {
-        trace::SharedAddressSpace space;
-        sim::Multiprocessor mp(
-            simConfigFor(app_config.numProcs(), line_bytes, study));
-        mp.attachAddressSpace(&space);
-        SinkChain chain(mp, space, study);
-        apps::lu::BlockedCholesky app(app_config, space, chain.sink());
+        SinkChain chain(app_config.numProcs(), line_bytes, study);
+        apps::lu::BlockedCholesky app(app_config, chain.space, chain.sink());
         app.randomizeSpd(1234);
         app.factor();
-        chain.checkDeadline();
-        return chain.finish(analyzeWorkingSets(
-            mp, study, Metric::MissesPerFlop, app.flops().totalFlops(),
-            name));
+        return chain.finish(Metric::MissesPerFlop,
+                            app.flops().totalFlops(), name);
     };
     return job;
 }
@@ -446,12 +414,8 @@ unstructuredStudyJob(const apps::cg::UnstructuredConfig &app_config,
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
     job.body = [app_config, iters, warmup_iters, study, line_bytes,
                 name = job.name]() {
-        trace::SharedAddressSpace space;
-        sim::Multiprocessor mp(
-            simConfigFor(app_config.numProcs, line_bytes, study));
-        mp.attachAddressSpace(&space);
-        SinkChain chain(mp, space, study);
-        apps::cg::UnstructuredCg app(app_config, space, chain.sink());
+        SinkChain chain(app_config.numProcs, line_bytes, study);
+        apps::cg::UnstructuredCg app(app_config, chain.space, chain.sink());
         app.buildSystem();
 
         chain.setMeasuring(false);
@@ -460,10 +424,8 @@ unstructuredStudyJob(const apps::cg::UnstructuredConfig &app_config,
         chain.setMeasuring(true);
         app.run(iters, 0.0);
 
-        chain.checkDeadline();
-        return chain.finish(analyzeWorkingSets(
-            mp, study, Metric::MissesPerFlop,
-            app.flops().totalFlops() - warm_flops, name));
+        return chain.finish(Metric::MissesPerFlop,
+                            app.flops().totalFlops() - warm_flops, name);
     };
     return job;
 }
@@ -487,12 +449,8 @@ fft2dStudyJob(const apps::fft::Fft2dConfig &app_config,
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
     job.body = [app_config, transforms, warmup_transforms, study,
                 line_bytes, name = job.name]() {
-        trace::SharedAddressSpace space;
-        sim::Multiprocessor mp(
-            simConfigFor(app_config.numProcs, line_bytes, study));
-        mp.attachAddressSpace(&space);
-        SinkChain chain(mp, space, study);
-        apps::fft::Fft2d app(app_config, space, chain.sink());
+        SinkChain chain(app_config.numProcs, line_bytes, study);
+        apps::fft::Fft2d app(app_config, chain.space, chain.sink());
         for (std::uint64_t r = 0; r < app_config.rows(); ++r) {
             for (std::uint64_t c = 0; c < app_config.cols(); ++c) {
                 double t = 0.001 * static_cast<double>(
@@ -509,10 +467,8 @@ fft2dStudyJob(const apps::fft::Fft2dConfig &app_config,
         for (std::uint32_t t = 0; t < transforms; ++t)
             app.forward();
 
-        chain.checkDeadline();
-        return chain.finish(analyzeWorkingSets(
-            mp, study, Metric::MissesPerFlop,
-            app.flops().totalFlops() - warm_flops, name));
+        return chain.finish(Metric::MissesPerFlop,
+                            app.flops().totalFlops() - warm_flops, name);
     };
     return job;
 }
@@ -538,12 +494,8 @@ fft3dStudyJob(const apps::fft::Fft3dConfig &app_config,
     appendStudyConfig(job.canonicalConfig, study, line_bytes);
     job.body = [app_config, transforms, warmup_transforms, study,
                 line_bytes, name = job.name]() {
-        trace::SharedAddressSpace space;
-        sim::Multiprocessor mp(
-            simConfigFor(app_config.numProcs, line_bytes, study));
-        mp.attachAddressSpace(&space);
-        SinkChain chain(mp, space, study);
-        apps::fft::Fft3d app(app_config, space, chain.sink());
+        SinkChain chain(app_config.numProcs, line_bytes, study);
+        apps::fft::Fft3d app(app_config, chain.space, chain.sink());
         std::uint64_t flat = 0;
         for (std::uint64_t i0 = 0; i0 < app_config.n0(); ++i0) {
             for (std::uint64_t i1 = 0; i1 < app_config.n1(); ++i1) {
@@ -564,10 +516,8 @@ fft3dStudyJob(const apps::fft::Fft3dConfig &app_config,
         for (std::uint32_t t = 0; t < transforms; ++t)
             app.forward();
 
-        chain.checkDeadline();
-        return chain.finish(analyzeWorkingSets(
-            mp, study, Metric::MissesPerFlop,
-            app.flops().totalFlops() - warm_flops, name));
+        return chain.finish(Metric::MissesPerFlop,
+                            app.flops().totalFlops() - warm_flops, name);
     };
     return job;
 }

@@ -8,19 +8,15 @@
 namespace wsg::core
 {
 
-namespace
-{
-
 void
-appendLine(std::string &out, std::string_view key, std::string_view value)
+appendConfigLine(std::string &out, std::string_view key,
+                 std::string_view value)
 {
     out += key;
     out += '=';
     out += value;
     out += '\n';
 }
-
-} // namespace
 
 // The machine axes (protocol, hierarchy, scheduler) add canonical lines
 // only off their defaults, so every study config from before an axis
@@ -35,7 +31,8 @@ constexpr std::array<StudyAxis, kStudyAxisCount> kStudyAxes = {{
          return memsys::profilerKindName(c.profiler);
      },
      [](std::string &out, const StudyConfig &c) {
-         appendLine(out, "profiler", memsys::profilerKindName(c.profiler));
+         appendConfigLine(out, "profiler",
+                          memsys::profilerKindName(c.profiler));
      }},
     {"sampling", "samp", "exact",
      [](StudyConfig &c, const std::string &label) {
@@ -44,16 +41,17 @@ constexpr std::array<StudyAxis, kStudyAxisCount> kStudyAxes = {{
      [](const StudyConfig &c) { return approx::samplingLabel(c.sampling); },
      [](std::string &out, const StudyConfig &c) {
          const approx::SamplingConfig &s = c.sampling;
-         appendLine(out, "sampling_mode", approx::samplingModeName(s.mode));
+         appendConfigLine(out, "sampling_mode",
+                          approx::samplingModeName(s.mode));
          if (s.mode == approx::SamplingMode::FixedRate)
-             appendLine(out, "sampling_rate",
-                        stats::JsonWriter::formatDouble(s.rate));
+             appendConfigLine(out, "sampling_rate",
+                              stats::JsonWriter::formatDouble(s.rate));
          if (s.mode == approx::SamplingMode::FixedSize)
-             appendLine(out, "sampling_max_lines",
-                        std::to_string(s.maxLines));
+             appendConfigLine(out, "sampling_max_lines",
+                              std::to_string(s.maxLines));
          if (s.enabled())
-             appendLine(out, "sampling_hash_salt",
-                        std::to_string(s.hashSalt));
+             appendConfigLine(out, "sampling_hash_salt",
+                              std::to_string(s.hashSalt));
      }},
     {"protocols", "proto", "write-invalidate",
      [](StudyConfig &c, const std::string &label) {
@@ -64,8 +62,8 @@ constexpr std::array<StudyAxis, kStudyAxisCount> kStudyAxes = {{
      },
      [](std::string &out, const StudyConfig &c) {
          if (c.protocol != sim::CoherenceProtocol::WriteInvalidate)
-             appendLine(out, "protocol",
-                        sim::coherenceProtocolName(c.protocol));
+             appendConfigLine(out, "protocol",
+                              sim::coherenceProtocolName(c.protocol));
      }},
     {"hierarchies", "hier", "single",
      [](StudyConfig &c, const std::string &label) {
@@ -74,7 +72,8 @@ constexpr std::array<StudyAxis, kStudyAxisCount> kStudyAxes = {{
      [](const StudyConfig &c) { return memsys::hierarchyLabel(c.hierarchy); },
      [](std::string &out, const StudyConfig &c) {
          if (c.hierarchy.twoLevel())
-             appendLine(out, "hierarchy", memsys::hierarchyLabel(c.hierarchy));
+             appendConfigLine(out, "hierarchy",
+                              memsys::hierarchyLabel(c.hierarchy));
      }},
     {"schedulers", "sched", "static",
      // From the current spec, so --steal-rate/--steal-seed given before
@@ -89,11 +88,11 @@ constexpr std::array<StudyAxis, kStudyAxisCount> kStudyAxes = {{
          const replay::SchedulerSpec &s = c.scheduler;
          if (s.kind == replay::SchedulerKind::Static)
              return;
-         appendLine(out, "scheduler", replay::schedulerKindName(s.kind));
+         appendConfigLine(out, "scheduler", replay::schedulerKindName(s.kind));
          if (s.kind == replay::SchedulerKind::WorkStealing) {
-             appendLine(out, "steal_rate",
-                        stats::JsonWriter::formatDouble(s.stealRate));
-             appendLine(out, "steal_seed", std::to_string(s.stealSeed));
+             appendConfigLine(out, "steal_rate",
+                              stats::JsonWriter::formatDouble(s.stealRate));
+             appendConfigLine(out, "steal_seed", std::to_string(s.stealSeed));
          }
      }},
 }};

@@ -64,6 +64,10 @@ struct StudyAxis
     void (*appendCanonical)(std::string &out, const StudyConfig &config);
 };
 
+/** Append one "key=value" line of a wsg-study-config-v1 config. */
+void appendConfigLine(std::string &out, std::string_view key,
+                      std::string_view value);
+
 /** The axes, in canonical-config, grid-loop and entry-name order. */
 extern const std::array<StudyAxis, kStudyAxisCount> kStudyAxes;
 

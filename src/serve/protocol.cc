@@ -1,6 +1,8 @@
 #include "serve/protocol.hh"
 
+#include <cassert>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 
 #include <sys/socket.h>
@@ -44,6 +46,17 @@ opFromName(const std::string &name)
     if (name == "shutdown")
         return Op::Shutdown;
     throw ProtocolError("unknown op: " + name);
+}
+
+/** Whether @p text is one JSON number, as a numeric axis must be. */
+bool
+isJsonNumber(const std::string &text)
+{
+    try {
+        return stats::parseJson(text).isNumber();
+    } catch (const stats::JsonParseError &) {
+        return false;
+    }
 }
 
 /** Append `"key":<encoded value>` with a leading comma when needed. */
@@ -183,10 +196,15 @@ encodeRequest(const Request &req)
             const core::AxisInput &input = core::kAxisInputs[k];
             if (req.axes[k].empty())
                 continue;
-            appendField(out, input.wireKey,
-                        input.numeric
-                            ? req.axes[k]
-                            : stats::JsonWriter::quote(req.axes[k]));
+            if (!input.numeric) {
+                appendString(out, input.wireKey, req.axes[k]);
+                continue;
+            }
+            if (!isJsonNumber(req.axes[k]))
+                throw ProtocolError(std::string(input.wireKey) +
+                                    " needs a JSON number, got '" +
+                                    req.axes[k] + "'");
+            appendField(out, input.wireKey, req.axes[k]);
         }
         if (req.analyzeRaces)
             appendBool(out, "analyze_races", true);
@@ -216,12 +234,24 @@ parseRequest(std::string_view line)
         }
         double v = numberField(root, input.wireKey, 0.0);
         if (v != 0.0)
-            req.axes[k] = stats::JsonWriter::formatDouble(v);
+            req.axes[k] = wireNumberText(v);
     }
     req.analyzeRaces = boolField(root, "analyze_races", false);
     req.timeoutSeconds = numberField(root, "timeout_seconds", 0.0);
     req.pointsPerOctave = numberField(root, "points_per_octave", 0.0);
     return req;
+}
+
+std::string
+wireNumberText(double v)
+{
+    // The longest fixed forms: 309 digits for 1.8e308, 326 for 5e-324.
+    char buf[400];
+    auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v,
+                                   std::chars_format::fixed);
+    assert(ec == std::errc());
+    (void)ec;
+    return std::string(buf, ptr);
 }
 
 std::string

@@ -85,8 +85,9 @@ struct Request
     /**
      * Axis overrides as wire values, indexed like the wire inputs that
      * lead core::kAxisInputs; "" = absent, i.e. the axis default.
-     * Numeric inputs hold JSON number text ("0.25"). Values are
-     * checked by studyConfig(), not when set or parsed.
+     * Numeric inputs hold JSON number text ("0.25"), which
+     * encodeRequest() checks; values are checked by studyConfig(),
+     * not when set or parsed.
      */
     std::array<std::string, core::kWireInputCount> axes;
     bool analyzeRaces = false;
@@ -104,8 +105,14 @@ struct Request
     core::StudyConfig studyConfig() const;
 };
 
-/** Serialize @p req as one line (newline included). */
+/** Serialize @p req as one line (newline included).
+ *  @throws ProtocolError when a numeric axis holds text that is not
+ *  a JSON number, which would make the line malformed. */
 std::string encodeRequest(const Request &req);
+
+/** A numeric wire value as Request::axes holds it: shortest digits in
+ *  fixed notation ("100000", never "1e+05", which size:N refuses). */
+std::string wireNumberText(double v);
 
 /** Parse one request line. @throws ProtocolError on malformed input. */
 Request parseRequest(std::string_view line);

@@ -41,7 +41,6 @@
 
 #include "serve/backoff.hh"
 #include "serve/protocol.hh"
-#include "stats/json_report.hh"
 
 using namespace wsg;
 
@@ -148,8 +147,7 @@ parseCli(int argc, char **argv)
             std::string &value = cli.req.axes[k];
             value = next(arg.c_str());
             if (core::kAxisInputs[k].numeric)
-                value = stats::JsonWriter::formatDouble(
-                    parsePositive(arg, value));
+                value = serve::wireNumberText(parsePositive(arg, value));
         } else if (!arg.empty() && arg[0] == '-') {
             usage("unknown argument '" + arg + "'");
         } else if (cli.preset.empty()) {

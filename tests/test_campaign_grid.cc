@@ -190,6 +190,27 @@ TEST(CampaignGrid, EntriesAreContentAddressedAndDistinct)
     EXPECT_EQ(hashes.size(), 4u) << "axis points must not collide";
 }
 
+TEST(CampaignGrid, RoundSampleSizesSurviveTheWire)
+{
+    // Each request is re-parsed the way the daemon reads it off the
+    // socket and must resolve to the entry's own content hash.
+    Grid grid = expandGrid(parseGridSpec(R"({
+        "schema": "wsg-campaign-grid-v1",
+        "presets": ["fig2-lu-B16"],
+        "sizes": ["small"],
+        "sampling": ["size:100000", "size:1000000", "rate:1e-05"]})"));
+    ASSERT_EQ(grid.entries.size(), 3u);
+    for (const CampaignEntry &entry : grid.entries) {
+        serve::Request served =
+            serve::parseRequest(serve::encodeRequest(entry.request));
+        core::StudyJob job = core::figureSuiteJob(served.preset,
+                                                  served.studyConfig());
+        EXPECT_EQ(stats::fnv1a64Hex(job.canonicalConfig),
+                  entry.configHash)
+            << entry.name;
+    }
+}
+
 TEST(CampaignGrid, ExpansionIsDeterministic)
 {
     GridSpec spec;

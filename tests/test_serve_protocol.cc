@@ -194,7 +194,8 @@ TEST(ServeProtocol, BadMachineAxesBecomeProtocolErrors)
     };
     const std::string study = R"({"op":"study","preset":"x",)";
     rejects(study + R"("sample_size":1e30})",
-            "sample_size needs a positive line count, got '1e+30'");
+            "sample_size needs a positive line count, got "
+            "'1000000000000000019884624838656'");
     rejects(study + R"("sample_size":2.5})",
             "sample_size needs a positive line count, got '2.5'");
     rejects(study + R"("sample_size":-3})", "sample_size needs");
@@ -224,6 +225,44 @@ TEST(ServeProtocol, BadMachineAxesBecomeProtocolErrors)
     EXPECT_FALSE(parseRequest(study + R"("sample_size":0})")
                      .studyConfig()
                      .sampling.enabled());
+}
+
+TEST(ServeProtocol, RoundWireNumbersReachTheStudy)
+{
+    // A numeric wire value reads back in fixed notation: 100000 is
+    // "100000", not "1e+05", which size:N would refuse.
+    const std::string study = R"({"op":"study","preset":"x",)";
+    for (std::uint64_t n : {100000ull, 1000000ull}) {
+        std::string text = std::to_string(n);
+        Request req = parseRequest(study + R"("sample_size":)" + text + "}");
+        EXPECT_EQ(req.axis("sample_size"), text);
+        EXPECT_EQ(req.studyConfig().sampling.maxLines, n);
+        // The client side writes the same digits back.
+        EXPECT_NE(encodeRequest(req).find("\"sample_size\":" + text + "}"),
+                  std::string::npos);
+    }
+    Request rate = parseRequest(study + R"("sample_rate":1e-05})");
+    EXPECT_EQ(rate.axis("sample_rate"), "0.00001");
+    EXPECT_DOUBLE_EQ(rate.studyConfig().sampling.rate, 1e-05);
+    EXPECT_EQ(wireNumberText(1e6), "1000000");
+    EXPECT_EQ(wireNumberText(0.25), "0.25");
+    EXPECT_EQ(wireNumberText(-3.0), "-3");
+}
+
+TEST(ServeProtocol, EncodeRefusesNonNumberTextInNumericAxes)
+{
+    // Unquoted non-number text would make the request line malformed
+    // JSON, and the daemon would drop the connection.
+    Request req;
+    req.op = Op::Study;
+    req.preset = "x";
+    for (const char *bad : {"foo", "1,000", "4096}", "inf", "0x10", "+4"}) {
+        req.axis("sample_size") = bad;
+        EXPECT_THROW(encodeRequest(req), ProtocolError) << bad;
+    }
+    req.axis("sample_size") = "4096";
+    EXPECT_NE(encodeRequest(req).find(R"("sample_size":4096})"),
+              std::string::npos);
 }
 
 TEST(ServeProtocol, ResponseHeaderRoundTrip)
